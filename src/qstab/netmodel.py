@@ -201,9 +201,6 @@ class ReentrantMeta:
     def server_operations(self, server: int) -> list[tuple[int, int]]:
         return [(i, j) for i, j in self.operations() if self.streams[i][j][0] == server]
 
-    def op_server(self, stream: int, step: int) -> int:
-        return self.streams[stream][step][0]
-
     def op_rate(self, stream: int, step: int) -> Fraction:
         return self.streams[stream][step][1]
 

@@ -10,11 +10,17 @@ Reproducibility contract
 ------------------------
 * substream seed of trial t = splitmix64(seed + (t+1) * golden), see
   :func:`substream_seed`; this mixing function is normative.
-* one uniform variate is consumed per step, from the trial's own stream;
+* one uniform variate u is consumed per step, from the trial's own stream;
+  a refill draws, for each trial still running, only the uniforms the
+  next ``_CHUNK`` steps (or the rest of the steps or cap) can use, and
+  since consecutive draws from a stream are prefixes of one another the
+  values do not depend on how they are chunked;
 * each action's outcome is selected by cumulative-sum inversion over its
   outcomes in lexicographic displacement order (the storage order of
   :class:`~qstab.netmodel.ActionSpec`), with probabilities converted from
-  exact rationals to floats once per run.
+  exact rationals to floats once per run: the outcome is the number of
+  cumulative sums <= u, clamped to the last outcome, so a u at or above a
+  float cumsum that rounds below 1 picks the last outcome.
 
 Identical (network, policy, config) therefore yield bit-identical reports.
 """
@@ -23,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .netmodel import (
+    ActionSpec,
     ConstructionError,
     NetworkSpec,
     PushPullMeta,
@@ -88,7 +96,8 @@ class Policy:
 
     ``resolve`` maps a state tuple to an action id; availability of the
     returned action is enforced at every simulation step. ``choose_batch``
-    is an optional vectorized form used by the lockstep engine.
+    is an optional vectorized form; when present, the engine and
+    :func:`step` use it in place of ``resolve``.
     """
 
     kind: str
@@ -341,75 +350,96 @@ def make_policy(
 # ---------------------------------------------------------------------------
 # Sampling engine
 
-class _Sampler:
-    """Cached float distributions and displacement tables per action."""
+class _Tables:
+    """Padded sampling tables with one row per action of ``actions``.
 
-    def __init__(self, net: NetworkSpec, alpha: Sequence[Fraction] | None = None):
-        self.n_actions = net.n_actions
-        self.labels = [a.label for a in net.actions]
-        self.cums: list[np.ndarray] = []
-        self.disps: list[np.ndarray] = []
-        self.drains: list[np.ndarray] = []
-        self.incs: list[np.ndarray] | None = [] if alpha is not None else None
-        for act in net.actions:
+    ``cum[r]`` holds the action's cumulative outcome probabilities and is
+    +inf from its last index on, so the number of entries <= u is
+    ``searchsorted(side="right")`` clamped to the last outcome. ``disp``
+    holds the displacements, ``drain`` the queues that must be nonempty,
+    and ``incs`` (given alpha) each outcome's exact increment of alpha'X as
+    a float.
+    """
+
+    def __init__(
+        self,
+        net: NetworkSpec,
+        actions: Sequence[ActionSpec] | None = None,
+        alpha: Sequence[Fraction] | None = None,
+    ):
+        self.actions = net.actions if actions is None else actions
+        rows = len(self.actions)
+        width = max(len(act.outcomes) for act in self.actions)
+        self.cum = np.full((rows, width), np.inf)
+        self.disp = np.zeros((rows, width, net.n_queues), dtype=np.int64)
+        self.drain = np.zeros((rows, net.n_queues), dtype=bool)
+        self.incs = None if alpha is None else np.zeros((rows, width))
+        # actions share few displacements, so each exact increment is computed once
+        increment = cache(lambda d: float(sum((a * x for a, x in zip(alpha, d)), Fraction(0))))
+        for r, act in enumerate(self.actions):
+            k = len(act.outcomes)
             probs = np.array(
                 [float(rate / act.total_rate) for _, rate in act.outcomes], dtype=np.float64
             )
-            self.cums.append(np.cumsum(probs))
-            self.disps.append(np.array([d for d, _ in act.outcomes], dtype=np.int64))
-            self.drains.append(np.array(sorted(act.drains), dtype=np.int64))
+            self.cum[r, : k - 1] = np.cumsum(probs)[: k - 1]
+            self.disp[r, :k] = [d for d, _ in act.outcomes]
+            self.drain[r, sorted(act.drains)] = True
             if self.incs is not None:
-                exact = [
-                    sum((Fraction(a) * x for a, x in zip(alpha, d)), Fraction(0))
-                    for d, _ in act.outcomes
-                ]
-                self.incs.append(np.array([float(q) for q in exact], dtype=np.float64))
+                self.incs[r, :k] = [increment(d) for d, _ in act.outcomes]
 
-    def apply(
-        self,
-        states: np.ndarray,
-        acts: np.ndarray,
-        u: np.ndarray,
-        disp_out: np.ndarray,
-        inc_out: np.ndarray | None = None,
-        used: list[np.ndarray] | None = None,
-    ) -> None:
-        """Validate availability and sample one displacement per row."""
-        if acts.min() < 0 or acts.max() >= self.n_actions:
-            raise PolicyError(f"policy produced an unknown action id {int(acts.min())}")
-        for a in np.unique(acts):
-            rows = np.nonzero(acts == a)[0]
-            sub = states[rows]
-            drains = self.drains[a]
-            if drains.size:
-                bad = (sub[:, drains] < 1).any(axis=1)
-                if bad.any():
-                    state = tuple(int(v) for v in sub[int(np.argmax(bad))])
-                    raise PolicyError(
-                        f"action {self.labels[a]!r} (id {int(a)}) is not available at state {state}"
-                    )
-            idx = np.searchsorted(self.cums[a], u[rows], side="right")
-            np.minimum(idx, len(self.cums[a]) - 1, out=idx)
-            disp_out[rows] = self.disps[a][idx]
-            if inc_out is not None:
-                inc_out[rows] = self.incs[a][idx]
-            if used is not None:
-                used[a][idx] = True
+    def sample(self, states: np.ndarray, acts: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Outcome index of each row, given its table row in ``acts`` and its uniform in ``u``.
+
+        Raises PolicyError if some row's action is not available; the
+        message names the smallest such action and the first row using it.
+        """
+        blocked = self.drain[acts] & (states < 1)
+        if blocked.any():
+            rows = np.nonzero(blocked.any(axis=1))[0]
+            a = acts[rows].min()
+            act = self.actions[a]
+            state = _state(states[rows[acts[rows] == a][0]])
+            raise PolicyError(
+                f"action {act.label!r} (id {act.id}) is not available at state {state}"
+            )
+        return (self.cum[acts] <= u[:, None]).sum(axis=1)
 
 
-def _make_chooser(policy: Policy) -> Callable[[np.ndarray], np.ndarray]:
-    if policy.choose_batch is not None:
-        return policy.choose_batch
-    resolve = policy.resolve
+def _state(row: np.ndarray) -> State:
+    return tuple(int(v) for v in row)
 
-    def chooser(states: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (resolve(tuple(int(v) for v in row)) for row in states),
-            dtype=np.int64,
-            count=len(states),
-        )
 
-    return chooser
+def _chooser(policy: Policy, n_actions: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The policy as a batch map from states to checked action ids.
+
+    A policy without ``choose_batch`` resolves one row at a time, in row
+    order; each id it returns must be an ``int`` or ``np.integer``. The
+    error names the first row with a bad id.
+    """
+    def unknown(a, row: np.ndarray) -> PolicyError:
+        return PolicyError(f"policy produced an unknown action id {a!r} at state {_state(row)}")
+
+    choose_batch = policy.choose_batch
+    if choose_batch is None:
+        resolve = policy.resolve
+
+        def choose(states: np.ndarray) -> np.ndarray:
+            ids = [resolve(z) for z in map(tuple, states.tolist())]
+            for row, a in enumerate(ids):
+                if not isinstance(a, (int, np.integer)) or not 0 <= a < n_actions:
+                    raise unknown(a, states[row])
+            return np.array(ids, dtype=np.int64)
+
+        return choose
+
+    def checked(states: np.ndarray) -> np.ndarray:
+        acts = choose_batch(states)
+        if acts.min() < 0 or acts.max() >= n_actions:
+            row = int(np.argmax((acts < 0) | (acts >= n_actions)))
+            raise unknown(int(acts[row]), states[row])
+        return acts
+
+    return checked
 
 
 def _start_state(net: NetworkSpec, cfg: SimConfig) -> State:
@@ -417,87 +447,88 @@ def _start_state(net: NetworkSpec, cfg: SimConfig) -> State:
     return check_state(x0, net.n_queues)
 
 
-def _batches(trials: int):
-    start = 0
-    while start < trials:
-        stop = min(start + _BATCH, trials)
-        yield start, stop
-        start = stop
-
-
 def step(
     net: NetworkSpec, policy: Policy, z: Sequence[int], rng: np.random.Generator
 ) -> State:
     """One embedded-chain transition from state z.
 
-    Resolves the policy, enforces availability, and samples from the
-    action's displacement distribution using one uniform variate.
+    A batch of one on the engine's code: the policy's action is checked and
+    its availability enforced, then one uniform variate picks the outcome.
     """
-    state = check_state(z, net.n_queues)
-    a = policy.resolve(state)
-    if not isinstance(a, (int, np.integer)) or not 0 <= int(a) < net.n_actions:
-        raise PolicyError(f"policy produced an unknown action id {a!r} at state {state}")
-    act = net.actions[int(a)]
-    for k in act.drains:
-        if state[k] < 1:
-            raise PolicyError(
-                f"action {act.label!r} (id {act.id}) is not available at state {state}"
-            )
-    probs = np.array([float(rate / act.total_rate) for _, rate in act.outcomes])
-    cum = np.cumsum(probs)
-    idx = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
-    d = act.outcomes[idx][0]
-    return tuple(q + dq for q, dq in zip(state, d))
+    states = np.array([check_state(z, net.n_queues)], dtype=np.int64)
+    a = _chooser(policy, net.n_actions)(states)[0]
+    table = _Tables(net, [net.actions[a]])
+    k = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
+    return _state(states[0] + table.disp[0, k])
 
 
-def _refill(chunk: np.ndarray, gens: list, rows: np.ndarray) -> None:
-    for i in rows:
-        chunk[i] = gens[i].random(_CHUNK)
+def _run(
+    net: NetworkSpec,
+    policy: Policy,
+    cfg: SimConfig,
+    horizon: int,
+    tables: _Tables,
+    observe: Callable[..., np.ndarray | None],
+) -> np.ndarray:
+    """Run cfg.trials trials for up to ``horizon`` steps in lockstep batches.
+
+    After every transition, ``observe(s, rows, states, disp, acts, idx)``
+    sees the live rows of the batch, whose trials are ``rows`` (a slice)
+    until some row retires; it may return a mask of rows to retire. Each
+    refill draws, for every live trial, only the uniforms that the next
+    ``_CHUNK`` steps (or the rest of the horizon) can use. Returns the
+    final states of the rows still live at the end.
+    """
+    x0 = np.array(_start_state(net, cfg), dtype=np.int64)
+    choose = _chooser(policy, net.n_actions)
+    finals = []
+    for start in range(0, cfg.trials, _BATCH):
+        rows = slice(start, min(start + _BATCH, cfg.trials))
+        gens = [trial_rng(cfg.seed, t) for t in range(rows.start, rows.stop)]
+        chunk = np.empty((len(gens), min(_CHUNK, horizon)), dtype=np.float64)
+        live = np.arange(len(gens))
+        states = np.repeat(x0[None, :], len(gens), axis=0)
+        for s in range(horizon):
+            col = s % _CHUNK
+            if col == 0:
+                n = min(_CHUNK, horizon - s)
+                for i in live.tolist():
+                    chunk[i, :n] = gens[i].random(n)
+            acts = choose(states)
+            idx = tables.sample(states, acts, chunk[live, col])
+            disp = tables.disp[acts, idx]
+            states += disp
+            done = observe(s, rows, states, disp, acts, idx)
+            if done is not None:
+                live, states = live[~done], states[~done]
+                if not live.size:
+                    break
+        finals.append(states)
+    return np.concatenate(finals)
 
 
 def estimate_return_time(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> ReturnTimeStats:
     """First-return times to the start state, one per trial, censored at cfg.cap."""
-    x0 = _start_state(net, cfg)
-    x0_arr = np.array(x0, dtype=np.int64)
-    sampler = _Sampler(net)
-    chooser = _make_chooser(policy)
-    returned_total = 0
-    sum_uncensored = 0
-    sum_all = 0
-    for start, stop in _batches(cfg.trials):
-        b = stop - start
-        gens = [trial_rng(cfg.seed, t) for t in range(start, stop)]
-        states = np.repeat(x0_arr[None, :], b, axis=0)
-        active = np.ones(b, dtype=bool)
-        times = np.full(b, cfg.cap, dtype=np.int64)
-        returned = np.zeros(b, dtype=bool)
-        chunk = np.empty((b, _CHUNK), dtype=np.float64)
-        for s in range(cfg.cap):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            if s % _CHUNK == 0:
-                _refill(chunk, gens, idx)
-            u = chunk[idx, s % _CHUNK]
-            sub = states[idx]
-            acts = chooser(sub)
-            disp = np.empty_like(sub)
-            sampler.apply(sub, acts, u, disp)
-            sub = sub + disp
-            states[idx] = sub
-            hits = (sub == x0_arr).all(axis=1)
-            if hits.any():
-                done = idx[hits]
-                times[done] = s + 1
-                returned[done] = True
-                active[done] = False
-        returned_total += int(returned.sum())
-        sum_uncensored += int(times[returned].sum())
-        sum_all += int(times.sum())
-    censored_fraction = Fraction(cfg.trials - returned_total, cfg.trials)
-    mean_uncensored = sum_uncensored / returned_total if returned_total else 0.0
+    x0 = np.array(_start_state(net, cfg), dtype=np.int64)
+    returns = []  # (trials returning, at step)
+
+    def observe(s, rows, states, disp, acts, idx):
+        hits = (states == x0).all(axis=1)
+        if hits.any():
+            returns.append((int(hits.sum()), s + 1))
+            return hits
+        return None
+
+    _run(net, policy, cfg, cfg.cap, _Tables(net), observe)
+    returned = sum(n for n, _ in returns)
+    sum_uncensored = sum(n * t for n, t in returns)
+    sum_all = sum_uncensored + (cfg.trials - returned) * cfg.cap
     return ReturnTimeStats(
-        cfg.trials, returned_total, censored_fraction, mean_uncensored, sum_all / cfg.trials
+        cfg.trials,
+        returned,
+        Fraction(cfg.trials - returned, cfg.trials),
+        sum_uncensored / returned if returned else 0.0,
+        sum_all / cfg.trials,
     )
 
 
@@ -516,112 +547,52 @@ def martingale_test(
     vec = tuple(Fraction(x) for x in alpha)
     if len(vec) != net.n_queues:
         raise ConstructionError(f"alpha has length {len(vec)}, expected {net.n_queues}")
-    x0 = _start_state(net, cfg)
-    x0_arr = np.array(x0, dtype=np.int64)
-    sampler = _Sampler(net, alpha=vec)
-    chooser = _make_chooser(policy)
     sets = index_sets(net)
     candidates = [abs(vec[i]) for i in sets.external]
     candidates += [abs(vec[i] - vec[j]) for i, j in sets.transfers]
     bound = float(max(candidates)) if candidates else 0.0
-    used = [np.zeros(len(c), dtype=bool) for c in sampler.cums]
-    deltas = []
-    for start, stop in _batches(cfg.trials):
-        b = stop - start
-        gens = [trial_rng(cfg.seed, t) for t in range(start, stop)]
-        states = np.repeat(x0_arr[None, :], b, axis=0)
-        z_acc = np.zeros(b, dtype=np.float64)
-        chunk = np.empty((b, _CHUNK), dtype=np.float64)
-        all_rows = np.arange(b)
-        disp = np.empty_like(states)
-        inc = np.empty(b, dtype=np.float64)
-        for s in range(cfg.steps):
-            if s % _CHUNK == 0:
-                _refill(chunk, gens, all_rows)
-            u = chunk[:, s % _CHUNK]
-            acts = chooser(states)
-            sampler.apply(states, acts, u, disp, inc_out=inc, used=used)
-            states += disp
-            z_acc += inc
-        deltas.append(z_acc)
-    dz = np.concatenate(deltas)
+    tables = _Tables(net, alpha=vec)
+    dz = np.zeros(cfg.trials, dtype=np.float64)
+    used = np.zeros(tables.incs.shape, dtype=bool)
+
+    def observe(s, rows, states, disp, acts, idx):
+        dz[rows] += tables.incs[acts, idx]
+        used[acts, idx] = True
+
+    _run(net, policy, cfg, cfg.steps, tables, observe)
     mean = float(dz.mean())
     std_error = float(dz.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    max_abs = 0.0
-    for flags, incs in zip(used, sampler.incs):
-        if flags.any():
-            max_abs = max(max_abs, float(np.abs(incs[flags]).max()))
+    max_abs = float(np.abs(tables.incs[used]).max()) if used.any() else 0.0
     return MartingaleReport(mean, std_error, max_abs, bound)
 
 
 def blowup_probe(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> GrowthReport:
     """Per-trial least-squares slope of total queue length against step index."""
-    x0 = _start_state(net, cfg)
-    x0_arr = np.array(x0, dtype=np.int64)
-    sampler = _Sampler(net)
-    chooser = _make_chooser(policy)
+    initial_total = sum(_start_state(net, cfg))
+    totals = np.full(cfg.trials, float(initial_total))
+    sum_t = totals.copy()
+    sum_nt = np.zeros(cfg.trials, dtype=np.float64)
+
+    def observe(s, rows, states, disp, acts, idx):
+        batch = totals[rows]
+        batch += disp.sum(axis=1)
+        sum_t[rows] += batch
+        sum_nt[rows] += (s + 1) * batch
+
+    _run(net, policy, cfg, cfg.steps, _Tables(net), observe)
     n = cfg.steps
     count = n + 1
     sum_n = n * (n + 1) / 2.0
     sum_n2 = n * (n + 1) * (2 * n + 1) / 6.0
     denom = sum_n2 - sum_n * sum_n / count
-    slopes = []
-    grew_total = 0
-    initial_total = int(x0_arr.sum())
-    for start, stop in _batches(cfg.trials):
-        b = stop - start
-        gens = [trial_rng(cfg.seed, t) for t in range(start, stop)]
-        states = np.repeat(x0_arr[None, :], b, axis=0)
-        totals = states.sum(axis=1).astype(np.float64)
-        sum_t = totals.copy()
-        sum_nt = np.zeros(b, dtype=np.float64)
-        chunk = np.empty((b, _CHUNK), dtype=np.float64)
-        all_rows = np.arange(b)
-        disp = np.empty_like(states)
-        for s in range(1, cfg.steps + 1):
-            local = s - 1
-            if local % _CHUNK == 0:
-                _refill(chunk, gens, all_rows)
-            u = chunk[:, local % _CHUNK]
-            acts = chooser(states)
-            sampler.apply(states, acts, u, disp)
-            states += disp
-            totals += disp.sum(axis=1)
-            sum_t += totals
-            sum_nt += s * totals
-        slopes.append((sum_nt - sum_n * sum_t / count) / denom)
-        grew_total += int((states.sum(axis=1) > initial_total).sum())
-    slope = float(np.concatenate(slopes).mean())
-    return GrowthReport(slope, grew_total / cfg.trials)
+    slope = float(((sum_nt - sum_n * sum_t / count) / denom).mean())
+    return GrowthReport(slope, int((totals > initial_total).sum()) / cfg.trials)
 
 
 def run_trajectories(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> TrajectorySummary:
     """Run fixed-length trajectories and summarize final states."""
-    x0 = _start_state(net, cfg)
-    x0_arr = np.array(x0, dtype=np.int64)
-    sampler = _Sampler(net)
-    chooser = _make_chooser(policy)
-    final_totals = []
-    first_final: tuple[int, ...] | None = None
-    for start, stop in _batches(cfg.trials):
-        b = stop - start
-        gens = [trial_rng(cfg.seed, t) for t in range(start, stop)]
-        states = np.repeat(x0_arr[None, :], b, axis=0)
-        chunk = np.empty((b, _CHUNK), dtype=np.float64)
-        all_rows = np.arange(b)
-        disp = np.empty_like(states)
-        for s in range(cfg.steps):
-            if s % _CHUNK == 0:
-                _refill(chunk, gens, all_rows)
-            u = chunk[:, s % _CHUNK]
-            acts = chooser(states)
-            sampler.apply(states, acts, u, disp)
-            states += disp
-        final_totals.append(states.sum(axis=1))
-        if start == 0:
-            first_final = tuple(int(v) for v in states[0])
-    totals = np.concatenate(final_totals)
-    assert first_final is not None
+    finals = _run(net, policy, cfg, cfg.steps, _Tables(net), lambda *_: None)
+    totals = finals.sum(axis=1)
     return TrajectorySummary(
-        cfg.trials, cfg.steps, float(totals.mean()), int(totals.max()), first_final
+        cfg.trials, cfg.steps, float(totals.mean()), int(totals.max()), _state(finals[0])
     )

@@ -7,7 +7,9 @@ symmetric unit walk); everything else is asserted exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, sqrt
 
 import numpy as np
@@ -23,9 +25,13 @@ from qstab.netmodel import (
     build_two_stream_example,
     index_sets,
 )
+from qstab.certify import reentrant_alpha
 from qstab.simulate import (
+    GrowthReport,
     PolicyError,
+    ReturnTimeStats,
     SimConfig,
+    TrajectorySummary,
     blowup_probe,
     estimate_return_time,
     make_policy,
@@ -189,8 +195,89 @@ def test_step_faults_on_unavailable_action():
 def test_step_rejects_unknown_action_id():
     net = critical_pp()
     pol = make_policy(net, "custom", resolver=lambda z: 99)
-    with pytest.raises(PolicyError):
+    with pytest.raises(PolicyError, match="unknown action id 99 "):
         step(net, pol, (1, 1), trial_rng(0, 0))
+
+
+def test_engine_error_names_the_out_of_range_id():
+    # Trials pick 0 at the origin and 99 once queue 0 holds a job; the
+    # message must name 99, not the smallest id in the batch.
+    net = critical_pp()
+    pol = make_policy(net, "custom", resolver=lambda z: 99 if z[0] >= 1 else 0)
+    with pytest.raises(PolicyError, match="unknown action id 99 "):
+        run_trajectories(net, pol, SimConfig(seed=0, steps=3, trials=8))
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.7, "1", -1, 2**70])
+def test_bad_action_ids_are_rejected(bad):
+    net = critical_pp()
+    pol = make_policy(net, "custom", resolver=lambda z: bad)
+    with pytest.raises(PolicyError, match=f"unknown action id {bad!r} at state"):
+        step(net, pol, (1, 1), trial_rng(0, 0))
+    with pytest.raises(PolicyError, match=f"unknown action id {bad!r} at state"):
+        run_trajectories(net, pol, SimConfig(seed=0, steps=2, trials=3))
+
+
+class FixedUniform:
+    """Stands in for a trial's generator: every draw returns ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_outcome_clamp_at_float_cumsum_below_one():
+    # Ten outcomes at rate 1/10: the float cumsum ends at 0.9999999999999999,
+    # so the largest uniform lies at the last cumsum and must pick the last
+    # outcome. A second, wider action pads this one's table row.
+    from qstab.simulate import _Tables
+
+    units = [tuple(int(i == j) for j in range(10)) for i in range(10)]
+    wide = units + [(1, -1) + (0,) * 8]
+    net = build_custom(10, [("spread", [(d, 1) for d in units]), ("wide", [(d, 1) for d in wide])])
+    cum = list(accumulate(float(F(1, 10)) for _ in range(10)))
+    top = float(np.nextafter(1.0, 0.0))
+    assert cum[-1] == top
+    pol = make_policy(net, "custom", resolver=lambda z: 0)
+    origin = (0,) * 10
+    cases = [(top, 9), (0.0, 0)]
+    cases += [(cum[k - 1], k) for k in range(1, 10)]
+    cases += [(float(np.nextafter(cum[k], 0.0)), k) for k in range(9)]
+    outcomes = net.actions[0].outcomes
+    for u, k in cases:
+        assert step(net, pol, origin, FixedUniform(u)) == outcomes[k][0]
+    tables = _Tables(net)
+    assert tables.cum.shape[1] == 11
+    us = np.array([u for u, _ in cases])
+    rows = len(cases)
+    picked = tables.sample(np.zeros((rows, 10), dtype=np.int64), np.zeros(rows, dtype=np.int64), us)
+    assert picked.tolist() == [k for _, k in cases]
+
+
+def test_unavailable_action_error_names_smallest_id_and_its_first_row():
+    # Step 1 puts each trial at one of three unit states; step 2 then picks
+    # "take-b" (id 2) at (1, 0, 0) and "take-a" (id 1) at the other two,
+    # all unavailable there. The message names id 1 at its first row.
+    net = build_custom(
+        3,
+        [
+            ("feed", [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)]),
+            ("take-a", [((-1, 0, 0), 1)]),
+            ("take-b", [((0, -1, 0), 1)]),
+        ],
+    )
+    pol = make_policy(
+        net, "custom", resolver=lambda z: 0 if sum(z) == 0 else (2 if z[0] else 1)
+    )
+    seed, trials = 1, 8
+    after_one = [Replay(net, pol).trial(seed, t, (0, 0, 0), 1)[-1][2] for t in range(trials)]
+    take_a = [z for z in after_one if not z[0]]
+    assert after_one[0] == (1, 0, 0) and len(set(take_a)) == 2
+    with pytest.raises(PolicyError) as err:
+        run_trajectories(net, pol, SimConfig(seed=seed, steps=2, trials=trials))
+    assert str(err.value) == f"action 'take-a' (id 1) is not available at state {take_a[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +311,136 @@ def test_engine_mean_matches_scalar_totals():
         finals.append(sum(z))
     assert summary.mean_final_total == np.mean(np.array(finals))
     assert summary.max_final_total == max(finals)
+
+
+class Replay:
+    """The sampling contract in plain Python, sharing no code with the engine.
+
+    Exact rationals become a float cumsum per action; a step draws one
+    ``random()`` from the trial's own stream and takes ``bisect_right``
+    clamped to the last outcome. The policy is consulted through ``resolve``.
+    """
+
+    def __init__(self, net, policy):
+        self.net, self.policy = net, policy
+        self.cums = [
+            list(accumulate(float(rate / act.total_rate) for _, rate in act.outcomes))
+            for act in net.actions
+        ]
+
+    def trial(self, seed, t, x0, steps, stop_at_start=False):
+        """[(action, outcome index, state after)] per step."""
+        rng = trial_rng(seed, t)
+        z, path = x0, []
+        for _ in range(steps):
+            a = self.policy.resolve(z)
+            act = self.net.actions[a]
+            assert all(z[k] >= 1 for k in act.drains)
+            cum = self.cums[a]
+            k = min(bisect_right(cum, rng.random()), len(cum) - 1)
+            z = tuple(x + d for x, d in zip(z, act.outcomes[k][0]))
+            path.append((a, k, z))
+            if stop_at_start and z == x0:
+                break
+        return path
+
+
+def replayed_reports(net, pol, alpha, cfg):
+    """The four verbs' reports computed from Replay paths."""
+    rep = Replay(net, pol)
+    x0 = cfg.x0 or (0,) * net.n_queues
+    paths = [rep.trial(cfg.seed, t, x0, cfg.steps) for t in range(cfg.trials)]
+    finals = [sum(path[-1][2]) for path in paths]
+    summary = TrajectorySummary(
+        cfg.trials, cfg.steps, sum(finals) / cfg.trials, max(finals), paths[0][-1][2]
+    )
+
+    returns = [rep.trial(cfg.seed, t, x0, cfg.cap, True) for t in range(cfg.trials)]
+    times = [len(path) for path in returns if path[-1][2] == x0]
+    returned = len(times)
+    return_stats = ReturnTimeStats(
+        cfg.trials,
+        returned,
+        F(cfg.trials - returned, cfg.trials),
+        sum(times) / returned if returned else 0.0,
+        sum(len(path) for path in returns) / cfg.trials,
+    )
+
+    n = cfg.steps
+    sum_n = n * (n + 1) / 2.0
+    denom = n * (n + 1) * (2 * n + 1) / 6.0 - sum_n * sum_n / (n + 1)
+    slopes = []
+    for path in paths:
+        sum_t, sum_nt = float(sum(x0)), 0.0
+        for s, (_, _, z) in enumerate(path, 1):
+            sum_t += sum(z)
+            sum_nt += s * float(sum(z))
+        slopes.append((sum_nt - sum_n * sum_t / (n + 1)) / denom)
+    growth = GrowthReport(
+        float(np.mean(slopes)), sum(f > sum(x0) for f in finals) / cfg.trials
+    )
+
+    inc = {}
+    dz = []
+    for path in paths:
+        z = 0.0
+        for a, k, _ in path:
+            if (a, k) not in inc:
+                d = net.actions[a].outcomes[k][0]
+                inc[a, k] = float(sum(F(w) * x for w, x in zip(alpha, d)))
+            z += inc[a, k]
+        dz.append(z)
+    drift = (
+        float(np.mean(dz)),
+        float(np.std(dz, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0,
+        max(abs(v) for v in inc.values()),
+    )
+    return summary, return_stats, growth, drift, paths[0]
+
+
+def _ring8():
+    return build_ring([1, 2, 3, 1, 2, 3, 1, 1], [2, 1, 1, 3, 1, 2, 1, 2])
+
+
+REPLAY_CASES = {
+    "push-pull": (
+        critical_pp, "pull-priority", (1, -1), SimConfig(seed=3, steps=60, trials=40, cap=80),
+    ),
+    "ring-8 pull-priority": (
+        _ring8, "pull-priority", tuple(range(1, 9)),
+        SimConfig(seed=1, steps=40, trials=60, cap=40, x0=(1, 0, 2, 0, 1, 1, 0, 3)),
+    ),
+    "two-stream": (
+        build_two_stream_example, "pull-priority", None,
+        SimConfig(seed=2, steps=50, trials=30, cap=50),
+    ),
+    "refill past one chunk": (
+        critical_pp, "pull-priority", (2, -1),
+        SimConfig(seed=5, steps=1100, trials=6, cap=1100, x0=(2, 0)),
+    ),
+    "two batches": (
+        critical_pp, "threshold", (1, -1), SimConfig(seed=0, steps=3, trials=4100, cap=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_engine_matches_independent_replay(case):
+    build, kind, alpha, cfg = REPLAY_CASES[case]
+    net = build()
+    alpha = alpha or reentrant_alpha(net)
+    pol = make_policy(net, kind, threshold=1 if kind == "threshold" else None)
+    summary, return_stats, growth, drift, path0 = replayed_reports(net, pol, alpha, cfg)
+    assert run_trajectories(net, pol, cfg) == summary
+    assert estimate_return_time(net, pol, cfg) == return_stats
+    assert blowup_probe(net, pol, cfg) == growth
+    rep = martingale_test(net, pol, alpha, cfg)
+    assert (rep.mean_delta_Z, rep.std_error, rep.max_abs_increment) == drift
+    rng = trial_rng(cfg.seed, 0)
+    z = cfg.x0 or (0,) * net.n_queues
+    for _, _, want in path0:
+        z = step(net, pol, z, rng)
+        assert z == want
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +536,6 @@ def test_biased_policy_has_negative_drift():
 
 def test_increment_bound_with_transfers():
     net = build_two_stream_example()
-    from qstab.certify import reentrant_alpha
-
     alpha = reentrant_alpha(net)
     sets = index_sets(net)
     exact_bound = max(
