@@ -5,9 +5,9 @@ D. A nonzero rational weight vector alpha with D alpha = 0 makes the
 weighted queue length a martingale under every non-idling policy; if in
 addition every action can actually change the weighted length (the
 non-degeneracy condition), no policy can make the network positive
-recurrent. This module computes D exactly, tests the rank condition,
-produces closed-form weight vectors for the built-in families, and
-packages the result as a machine-checkable certificate.
+recurrent. This module computes D exactly, decides exactly whether such
+an alpha exists, builds one when it does (the family closed form where
+one applies), and packages the result as a machine-checkable certificate.
 
 Everything here is exact rational arithmetic; the simulator corroborates
 verdicts statistically but plays no role in them.
@@ -15,10 +15,10 @@ verdicts statistically but plays no role in them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import exactla
@@ -56,6 +56,11 @@ class DriftMatrix:
     def n_queues(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
+    @cached_property
+    def integer_rows(self) -> list[list[int]]:
+        """Each row scaled to integers by the lcm of its denominators, computed once."""
+        return exactla.clear_denominators(self.rows)
+
 
 @dataclass(frozen=True)
 class SignMatrix:
@@ -83,8 +88,9 @@ class HarmonicCertificate:
 
     ``alpha`` is the canonical integer form of the harmonic weight vector
     when one was found, else None. The verdict is NON_STABILIZABLE exactly
-    when ``dalpha_zero`` and ``nondeg_direct`` both hold. The condition is
-    sufficient, not necessary, so INCONCLUSIVE never asserts stability.
+    when ``dalpha_zero`` and ``nondeg_direct`` both hold. INCONCLUSIVE means
+    that no such alpha exists; the condition is sufficient, not necessary,
+    so it never asserts stability.
     """
 
     verdict: Verdict
@@ -140,7 +146,7 @@ def rank(d: DriftMatrix) -> int:
 
 def null_space_basis(d: DriftMatrix) -> list[tuple[int, ...]]:
     """Canonical integer basis of {alpha : D alpha = 0}."""
-    return exactla.rational_null_space(d.rows, d.n_queues)
+    return exactla.null_space(d.integer_rows, d.n_queues)
 
 
 def sign_matrix(d: DriftMatrix) -> SignMatrix:
@@ -191,10 +197,12 @@ def check_nondegeneracy_direct(net: NetworkSpec, alpha: Sequence[Fraction | int]
     and available action, a positive probability of changing alpha'X.
     """
     vec = _check_alpha(net, alpha)
-    for act in net.actions:
-        if all(exactla.dot(vec, d) == 0 for d in act.support):
-            return False
-    return True
+    return all(_moves(vec, act.support) for act in net.actions)
+
+
+def _moves(alpha: Sequence[Fraction | int], support: Sequence[Sequence[int]]) -> bool:
+    """True iff some displacement in the support changes alpha'X."""
+    return any(sum(a * x for a, x in zip(alpha, d) if x) for d in support)
 
 
 def check_nondegeneracy_lemma(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
@@ -229,6 +237,28 @@ def is_critical(net: NetworkSpec) -> bool:
     raise UnsupportedFamilyError("criticality is undefined for custom networks")
 
 
+def _closed_form(net: NetworkSpec) -> tuple[Fraction, ...] | None:
+    """The family closed-form weights where they apply, not yet checked against D."""
+    meta = net.meta
+    if meta is None or not is_critical(net):
+        return None
+    if isinstance(meta, PushPullMeta):
+        l1, l2 = meta.push_rates
+        return (1 / l1, -1 / l2)
+    if isinstance(meta, RingMeta):
+        if net.n_queues % 2 != 0:
+            return None
+        return tuple((1 if i % 2 == 0 else -1) / rate for i, rate in enumerate(meta.push_rates))
+    alpha = [Fraction(0)] * net.n_queues
+    for i, stream in enumerate(meta.streams):
+        partial = Fraction(0)
+        for j in range(meta.stream_lengths[i]):
+            server, rate = stream[j]
+            partial += (-1 if server == 1 else 1) / rate
+            alpha[meta.queue_index(i, j + 1)] = partial
+    return tuple(alpha)
+
+
 def ring_alpha_even(net: NetworkSpec) -> tuple[Fraction, ...]:
     """Closed-form harmonic weights for a critical ring with evenly many servers.
 
@@ -240,12 +270,7 @@ def ring_alpha_even(net: NetworkSpec) -> tuple[Fraction, ...]:
         raise ValueError("ring_alpha_even requires an even number of servers")
     if not is_critical(net):
         raise ValueError("ring_alpha_even requires a critical ring")
-    alpha = tuple(
-        (Fraction(1) if i % 2 == 0 else Fraction(-1)) / rate
-        for i, rate in enumerate(net.meta.push_rates)
-    )
-    _assert_harmonic(net, alpha)
-    return alpha
+    return family_alpha(net)
 
 
 def reentrant_alpha(net: NetworkSpec) -> tuple[Fraction, ...]:
@@ -259,25 +284,7 @@ def reentrant_alpha(net: NetworkSpec) -> tuple[Fraction, ...]:
         raise UnsupportedFamilyError("reentrant_alpha requires a re-entrant network")
     if not is_critical(net):
         raise ValueError("reentrant_alpha requires a critical network")
-    meta = net.meta
-    alpha = [Fraction(0)] * net.n_queues
-    for i, stream in enumerate(meta.streams):
-        partial = Fraction(0)
-        for j in range(meta.stream_lengths[i]):
-            server, rate = stream[j]
-            partial += Fraction(-1 if server == 1 else 1) / rate
-            alpha[meta.queue_index(i, j + 1)] = partial
-    vec = tuple(alpha)
-    _assert_harmonic(net, vec)
-    return vec
-
-
-def _push_pull_alpha(net: NetworkSpec) -> tuple[Fraction, ...]:
-    assert isinstance(net.meta, PushPullMeta)
-    l1, l2 = net.meta.push_rates
-    alpha = (Fraction(1) / l1, Fraction(-1) / l2)
-    _assert_harmonic(net, alpha)
-    return alpha
+    return family_alpha(net)
 
 
 def family_alpha(net: NetworkSpec) -> tuple[Fraction, ...] | None:
@@ -286,23 +293,18 @@ def family_alpha(net: NetworkSpec) -> tuple[Fraction, ...] | None:
     Applicable to critical push-pull networks, critical rings with evenly
     many servers, and critical re-entrant networks.
     """
-    if isinstance(net.meta, PushPullMeta) and is_critical(net):
-        return _push_pull_alpha(net)
-    if isinstance(net.meta, RingMeta) and net.n_queues % 2 == 0 and is_critical(net):
-        return ring_alpha_even(net)
-    if isinstance(net.meta, ReentrantMeta) and is_critical(net):
-        return reentrant_alpha(net)
-    return None
+    alpha = _closed_form(net)
+    if alpha is not None:
+        _assert_harmonic(drift_matrix(net), alpha)
+    return alpha
 
 
-def _assert_harmonic(net: NetworkSpec, alpha: Sequence[Fraction]) -> None:
-    d = drift_matrix(net)
-    if not _solves(d, alpha):
+def _assert_harmonic(d: DriftMatrix, alpha: Sequence[Fraction]) -> tuple[int, ...]:
+    """The canonical integer form of closed-form weights, checked against D's integer rows."""
+    vec = exactla.normalize_integer_vector(alpha)
+    if not all(sum(r * a for r, a in zip(row, vec) if r) == 0 for row in d.integer_rows):
         raise ArithmeticError("internal error: closed-form weights are not harmonic")
-
-
-def _solves(d: DriftMatrix, alpha: Sequence[Fraction | int]) -> bool:
-    return all(exactla.dot(row, alpha) == 0 for row in d.rows)
+    return vec
 
 
 def verify_unit_pairing(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
@@ -331,84 +333,67 @@ def verify_unit_pairing(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bo
     return True
 
 
-def _candidate_vectors(
+def _certificate_alpha(
     net: NetworkSpec,
     basis: Sequence[tuple[int, ...]],
-    combo_budget: int,
-    max_candidates: int,
-):
-    """Candidate harmonic vectors in deterministic search order.
+    closed: tuple[int, ...] | None,
+) -> tuple[int, ...] | None:
+    """A null space vector every action can move, or None when none exists."""
+    supports = [act.support for act in net.actions]
+    if not basis or any(not any(_moves(b, s) for b in basis) for s in supports):
+        return None
 
-    Family closed form first (when the family is critical), then each null
-    space basis vector, then small-integer combinations of basis vectors
-    with coefficients in [-combo_budget, combo_budget].
-    """
-    if net.family != "custom":
-        closed = family_alpha(net)
+    def candidates():
         if closed is not None:
             yield closed
-    for vec in basis:
-        yield vec
-    if len(basis) < 2:
-        return
-    count = 0
-    coeff_range = range(-combo_budget, combo_budget + 1)
-    for coeffs in itertools.product(coeff_range, repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        count += 1
-        if count > max_candidates:
-            return
-        yield tuple(
-            sum(c * vec[k] for c, vec in zip(coeffs, basis)) for k in range(net.n_queues)
-        )
+        yield from basis
+        for t in range(1, net.n_actions * (len(basis) - 1) + 2):
+            yield tuple(
+                sum(t**k * b[i] for k, b in enumerate(basis)) for i in range(net.n_queues)
+            )
+
+    for cand in candidates():
+        if all(_moves(cand, s) for s in supports):
+            return exactla.normalize_integer_vector(cand)
+    raise ArithmeticError("internal error: no weight vector alpha(t) moves every action")
 
 
-def certify_nonstabilizable(
-    net: NetworkSpec,
-    combo_budget: int = 3,
-    max_candidates: int = 50_000,
-) -> HarmonicCertificate:
-    """Search for a harmonic certificate of non-stabilizability.
+def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
+    """Decide exactly whether a harmonic certificate exists, and build one if so.
 
-    Computes the exact drift matrix and its rank; when the rank is
-    deficient, searches the null space for a vector passing the direct
-    non-degeneracy check. The first hit (in a deterministic order) is
-    normalized to canonical integer form and returned with verdict
-    NON_STABILIZABLE; otherwise the verdict is INCONCLUSIVE with the null
-    space basis attached, as the criterion is sufficient but not necessary.
+    Let b_1..b_n be the null space basis of D. An action is blocked when
+    every displacement in its support is orthogonal to every b_k: then no
+    null space vector can move it. A certificate exists exactly when the
+    rank is below M and no action is blocked, because each unblocked
+    action is degenerate only on a proper subspace of the null space, and
+    a vector space over the rationals is not a finite union of proper
+    subspaces.
+
+    The certificate is the first candidate that every action can move: the
+    family closed form (checked against D), then each basis vector, then
+    alpha(t) = sum_k t^(k-1) b_k for t = 1, 2, .... For an unblocked action
+    a, alpha(t).d is a nonzero polynomial in t of degree below n for some d
+    in its support, so it has at most n - 1 roots, and one of the first
+    L(n-1)+1 values of t works for all L actions. The alpha found is
+    returned in canonical integer form with verdict NON_STABILIZABLE. Else
+    the verdict is INCONCLUSIVE with the null space basis attached: no
+    certificate exists, which does not assert stability either.
     """
     d = drift_matrix(net)
-    rk = rank(d)
+    basis = tuple(null_space_basis(d))
+    rk = net.n_queues - len(basis)
     critical = None if net.family == "custom" else is_critical(net)
-    if rk == net.n_queues:
+    closed = _closed_form(net)
+    if closed is not None:
+        closed = _assert_harmonic(d, closed)
+    found = _certificate_alpha(net, basis, closed)
+    if found is None:
         return HarmonicCertificate(
             Verdict.INCONCLUSIVE, None, False, False, False,
-            rk, net.n_queues, net.n_actions, critical, (),
+            rk, net.n_queues, net.n_actions, critical, basis,
         )
-    basis = tuple(null_space_basis(d))
-    tried: set[tuple[int, ...]] = set()
-    for cand in _candidate_vectors(net, basis, combo_budget, max_candidates):
-        vec = tuple(Fraction(x) for x in cand)
-        if all(x == 0 for x in vec):
-            continue
-        canon = exactla.normalize_integer_vector(vec)
-        if canon in tried:
-            continue
-        tried.add(canon)
-        if not _solves(d, vec):
-            continue
-        if check_nondegeneracy_direct(net, vec):
-            alpha = tuple(Fraction(x) for x in canon)
-            return HarmonicCertificate(
-                Verdict.NON_STABILIZABLE,
-                alpha,
-                True,
-                True,
-                check_nondegeneracy_lemma(net, alpha),
-                rk, net.n_queues, net.n_actions, critical, basis,
-            )
+    alpha = tuple(Fraction(x) for x in found)
     return HarmonicCertificate(
-        Verdict.INCONCLUSIVE, None, False, False, False,
+        Verdict.NON_STABILIZABLE, alpha, True, True, check_nondegeneracy_lemma(net, alpha),
         rk, net.n_queues, net.n_actions, critical, basis,
     )

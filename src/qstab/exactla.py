@@ -24,7 +24,7 @@ def clear_denominators(rows: RationalMatrix) -> list[list[int]]:
     out = []
     for row in rows:
         mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
+        out.append([f.numerator * (mult // f.denominator) for f in row])
     return out
 
 
@@ -73,15 +73,19 @@ def rational_rank(rows: RationalMatrix) -> int:
 
 
 def rational_null_space(rows: RationalMatrix, n_cols: int) -> list[tuple[int, ...]]:
-    """Basis of the right null space, one vector per free column.
+    """Basis of the right null space of a matrix with Fraction entries."""
+    return null_space(clear_denominators(rows), n_cols)
+
+
+def null_space(rows: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
+    """Basis of the right null space of an integer matrix, one vector per free column.
 
     Each basis vector is normalized to coprime integer entries with the
     first nonzero entry positive, so the result is a stable canonical form.
     Vectors are ordered by their free column index.
     """
-    ints = clear_denominators(rows)
-    if ints and ints[0]:
-        ech, pivots = echelon(ints)
+    if rows and rows[0]:
+        ech, pivots = echelon(rows)
     else:
         ech, pivots = [], []
     free = [c for c in range(n_cols) if c not in pivots]

@@ -27,6 +27,7 @@ Identical (network, policy, config) therefore yield bit-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -413,8 +414,8 @@ def _chooser(policy: Policy, n_actions: int) -> Callable[[np.ndarray], np.ndarra
     """The policy as a batch map from states to checked action ids.
 
     A policy without ``choose_batch`` resolves one row at a time, in row
-    order; each id it returns must be an ``int`` or ``np.integer``. The
-    error names the first row with a bad id.
+    order; each id it returns must be an ``int`` or ``np.integer``, and not
+    a ``bool``. The error names the first row with a bad id.
     """
     def unknown(a, row: np.ndarray) -> PolicyError:
         return PolicyError(f"policy produced an unknown action id {a!r} at state {_state(row)}")
@@ -426,7 +427,8 @@ def _chooser(policy: Policy, n_actions: int) -> Callable[[np.ndarray], np.ndarra
         def choose(states: np.ndarray) -> np.ndarray:
             ids = [resolve(z) for z in map(tuple, states.tolist())]
             for row, a in enumerate(ids):
-                if not isinstance(a, (int, np.integer)) or not 0 <= a < n_actions:
+                ok = isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                if not ok or not 0 <= a < n_actions:
                     raise unknown(a, states[row])
             return np.array(ids, dtype=np.int64)
 
@@ -542,7 +544,8 @@ def martingale_test(
 
     Increments are looked up from exact per-outcome values converted to
     float once, so the reported maximum increment respects the exact bound
-    by construction.
+    by construction. Raises ValueError when alpha is too large for the
+    bound or the statistics to be finite floats.
     """
     vec = tuple(Fraction(x) for x in alpha)
     if len(vec) != net.n_queues:
@@ -550,7 +553,10 @@ def martingale_test(
     sets = index_sets(net)
     candidates = [abs(vec[i]) for i in sets.external]
     candidates += [abs(vec[i] - vec[j]) for i, j in sets.transfers]
-    bound = float(max(candidates)) if candidates else 0.0
+    try:
+        bound = float(max(candidates)) if candidates else 0.0
+    except OverflowError:
+        raise ValueError("alpha is too large: its increment bound overflows a float") from None
     tables = _Tables(net, alpha=vec)
     dz = np.zeros(cfg.trials, dtype=np.float64)
     used = np.zeros(tables.incs.shape, dtype=bool)
@@ -559,10 +565,13 @@ def martingale_test(
         dz[rows] += tables.incs[acts, idx]
         used[acts, idx] = True
 
-    _run(net, policy, cfg, cfg.steps, tables, observe)
-    mean = float(dz.mean())
-    std_error = float(dz.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        _run(net, policy, cfg, cfg.steps, tables, observe)
+        mean = float(dz.mean())
+        std_error = float(dz.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
     max_abs = float(np.abs(tables.incs[used]).max()) if used.any() else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ValueError("alpha is too large: the increment statistics overflow a float")
     return MartingaleReport(mean, std_error, max_abs, bound)
 
 

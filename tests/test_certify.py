@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstab import certify, exactla
 from qstab.certify import (
@@ -435,3 +437,146 @@ def test_custom_net_certification_uses_null_space():
     assert cert.verdict is Verdict.NON_STABILIZABLE
     assert cert.alpha == (F(2), F(-1))
     assert cert.critical is None
+
+
+# ---------------------------------------------------------------------------
+# the exact decision
+
+
+def swap_network(k):
+    """k queues, one balanced action per pair: move a job i->j or j->i at equal rates.
+
+    Every row of D is zero, so the null space is all of Q^k and any alpha
+    with pairwise distinct entries is a certificate.
+    """
+    actions = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            fwd, back = [0] * k, [0] * k
+            fwd[i], fwd[j] = -1, 1
+            back[i], back[j] = 1, -1
+            actions.append((f"swap{i}{j}", [(fwd, 1), (back, 1)]))
+    return build_custom(k, actions)
+
+
+def test_swap8_is_certified():
+    net = swap_network(8)
+    cert = certify_nonstabilizable(net)
+    assert cert.verdict is Verdict.NON_STABILIZABLE
+    assert cert.rank == 0 and len(cert.null_space_basis) == 8
+    assert len(set(cert.alpha)) == 8
+    assert check_nondegeneracy_direct(net, cert.alpha)
+
+
+def test_blocked_action_is_inconclusive_below_full_rank():
+    # D has rows (1/2, -1/2) and (0, 0): the null space is spanned by
+    # (1, 1), which cannot move the balanced transfer between the queues.
+    net = build_custom(2, [
+        ("in-or-out", [((1, 0), 1), ((0, -1), 1)]),
+        ("transfer", [((-1, 1), 1), ((1, -1), 1)]),
+    ])
+    cert = certify_nonstabilizable(net)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.rank == 1 and cert.null_space_basis == ((1, 1),)
+    assert cert.alpha is None and not cert.dalpha_zero
+
+
+def test_certify_builds_drift_once_and_eliminates_once(monkeypatch):
+    calls = {"drift_matrix": 0, "echelon": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(certify, "drift_matrix")
+    counted(exactla, "echelon")
+    cert = certify_nonstabilizable(build_ring([1] * 4, [1] * 4))
+    assert cert.verdict is Verdict.NON_STABILIZABLE
+    assert calls == {"drift_matrix": 1, "echelon": 1}
+
+
+def _oracle_null_space(rows, m):
+    """Null space basis by Fraction Gauss-Jordan elimination, independent of exactla."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(m):
+        piv = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(m) if c not in pivots):
+        v = [F(0)] * m
+        v[free] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def _oracle_rows(outcomes_per_action, m):
+    """Each action's rate-weighted displacement sum, proportional to its drift row."""
+    return [
+        [sum((F(rate) * d[k] for d, rate in outs), F(0)) for k in range(m)]
+        for outs in outcomes_per_action
+    ]
+
+
+def _displacements(m):
+    out = []
+    for i in range(m):
+        out += [tuple(int(k == i) for k in range(m)), tuple(-int(k == i) for k in range(m))]
+        for j in range(m):
+            if j != i:
+                out.append(tuple((k == j) - (k == i) for k in range(m)))
+    return out
+
+
+@st.composite
+def custom_nets(draw):
+    """(M, actions): each action is one or two parts, a part is one outcome or a
+    balanced pair d, -d at equal rates, so drift rows often cancel."""
+    m = draw(st.integers(1, 4))
+
+    def part(d, rate, balanced):
+        return [(d, rate), (tuple(-x for x in d), rate)] if balanced else [(d, rate)]
+
+    parts = st.builds(part, st.sampled_from(_displacements(m)), st.integers(1, 3), st.booleans())
+    action = st.lists(parts, min_size=1, max_size=2).map(lambda ps: [o for p in ps for o in p])
+    return m, draw(st.lists(action, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(custom_nets())
+def test_verdict_matches_subspace_oracle(spec):
+    m, actions = spec
+    net = build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)])
+    rows = _oracle_rows(actions, m)
+    basis = _oracle_null_space(rows, m)
+
+    def moves(v, outs):
+        return any(sum(F(x) * y for x, y in zip(d, v)) != 0 for d, _ in outs)
+
+    blocked = any(not any(moves(b, outs) for b in basis) for outs in actions)
+    cert = certify_nonstabilizable(net)
+    assert cert.rank == m - len(basis)
+    exists = len(basis) > 0 and not blocked
+    assert (cert.verdict is Verdict.NON_STABILIZABLE) == exists
+    if exists:
+        assert any(cert.alpha)
+        assert all(sum(x * a for x, a in zip(row, cert.alpha)) == 0 for row in rows)
+        assert all(moves(cert.alpha, outs) for outs in actions)
+    else:
+        assert cert.alpha is None

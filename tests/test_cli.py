@@ -151,3 +151,18 @@ def test_text_format_renders_floats_deterministically(spec_dir, capsys):
     assert run(["return-time", spec_dir["pp-critical.json"], *args]) == EXIT_OK
     assert out1 == capsys.readouterr().out
     assert "censored_fraction:" in out1
+
+
+def test_certify_has_no_budget_option(spec_dir, capsys):
+    assert run(["certify", spec_dir["pp-critical.json"], "--budget", "3"]) == EXIT_ERROR
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [f"{10**308},-{10**308}", f"{17 * 10**308},-{10**308}"],
+                         ids=["stats-overflow", "bound-overflow"])
+def test_martingale_huge_alpha_is_an_error(spec_dir, capsys, alpha):
+    args = ["--alpha", alpha, "--trials", "20", "--steps", "20", "--format", "json"]
+    assert run(["martingale", spec_dir["pp-critical.json"], *args]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha is too large" in captured.err and "Traceback" not in captured.err

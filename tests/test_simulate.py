@@ -208,7 +208,7 @@ def test_engine_error_names_the_out_of_range_id():
         run_trajectories(net, pol, SimConfig(seed=0, steps=3, trials=8))
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.7, "1", -1, 2**70])
+@pytest.mark.parametrize("bad", [0.0, 1.7, "1", -1, 2**70, True, False])
 def test_bad_action_ids_are_rejected(bad):
     net = critical_pp()
     pol = make_policy(net, "custom", resolver=lambda z: bad)
