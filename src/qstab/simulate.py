@@ -8,8 +8,11 @@ as the engine below does) without changing results.
 
 Reproducibility contract
 ------------------------
-* substream seed of trial t = splitmix64(seed + (t+1) * golden), see
-  :func:`substream_seed`; this mixing function is normative.
+* the seed is an integer in [0, 2**64) (larger seeds would alias smaller
+  ones); the substream seed of trial t = splitmix64(seed + (t+1) *
+  golden), see :func:`substream_seed`; this mixing function is normative.
+* the start state's total plus max(steps, cap) stays below 2**63, so no
+  queue length or total overflows the engine's int64 states.
 * one uniform variate u is consumed per step, from the trial's own stream;
   a refill draws, for each trial still running, only the uniforms the
   next ``_CHUNK`` steps (or the rest of the steps or cap) can use, and
@@ -84,26 +87,38 @@ class SimConfig:
     x0: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConstructionError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ConstructionError("seed must be an integer in [0, 2**64)")
         for name in ("steps", "trials", "cap"):
             if getattr(self, name) < 1:
                 raise ConstructionError(f"{name} must be a positive integer")
+        if self.x0 is not None:
+            _check_headroom(self.x0, max(self.steps, self.cap))
+
+
+def _check_headroom(z: Sequence[int], steps: int) -> None:
+    # Each step moves the total by at most 1, so no int64 queue or total overflows.
+    if sum(z) + steps >= 2**63:
+        raise ConstructionError(
+            f"state {tuple(z)} is too large: its total plus {steps} steps reaches 2**63"
+        )
 
 
 @dataclass(frozen=True)
 class Policy:
     """A total state-to-action map, non-idling by construction.
 
-    ``resolve`` maps a state tuple to an action id; availability of the
-    returned action is enforced at every simulation step. ``choose_batch``
-    is an optional vectorized form; when present, the engine and
-    :func:`step` use it in place of ``resolve``.
+    ``choose_batch`` maps a (B x M) int64 array of states to the B action
+    ids, one per row; it is the only form the engine and :func:`step`
+    call, and availability of each chosen action is enforced at every
+    step. ``resolve`` is the same map on one state tuple. Build policies
+    with :func:`make_policy`: built-in kinds choose a whole batch at once,
+    and custom tables and resolvers run once per row, in row order.
     """
 
     kind: str
     resolve: Callable[[State], int]
-    choose_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    choose_batch: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -187,62 +202,57 @@ class TrajectorySummary:
 # ---------------------------------------------------------------------------
 # Policies
 
-def _server_pull_queues(m: int) -> list[int]:
-    # Server i pulls the queue of stream i-1, cyclically; for the push-pull
-    # pair (m == 2) this is exactly "server 1 pulls queue 2 and vice versa".
-    return [(i - 1) % m for i in range(m)]
+def _unknown_id(a, row: np.ndarray) -> PolicyError:
+    return PolicyError(f"policy produced an unknown action id {a!r} at state {_state(row)}")
 
 
-def _choice_id_maps(net: NetworkSpec):
-    """bits-of-pull -> action id, scalar and vectorized, for pushpull/ring."""
-    m = net.n_queues
+def _batch_policy(kind: str, choose_batch: Callable[[np.ndarray], np.ndarray]) -> Policy:
+    """A built-in policy; its ``resolve`` is ``choose_batch`` on a batch of one."""
+    return Policy(kind, lambda z: int(choose_batch(np.array([z], dtype=np.int64))[0]), choose_batch)
+
+
+def _row_policy(resolve: Callable[[State], int], n_actions: int) -> Policy:
+    """A custom policy: ``resolve`` runs on each row in row order.
+
+    Each id it returns must be an ``int`` or ``np.integer``, not a ``bool``,
+    and in range; the error names the first row with a bad id.
+    """
+    def choose_batch(states: np.ndarray) -> np.ndarray:
+        ids = [resolve(z) for z in map(tuple, states.tolist())]
+        for row, a in enumerate(ids):
+            ok = isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+            if not ok or not 0 <= a < n_actions:
+                raise _unknown_id(a, states[row])
+        return np.array(ids, dtype=np.int64)
+
+    return Policy("custom", resolve, choose_batch)
+
+
+def _constant_policy(kind: str, action_id: int) -> Policy:
+    return _batch_policy(kind, lambda states: np.full(len(states), action_id, dtype=np.int64))
+
+
+def _choice_ids(net: NetworkSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """(B x m) pull bits -> action ids, for pushpull/ring."""
     if isinstance(net.meta, PushPullMeta):
         lut = np.array([0, 2, 3, 1], dtype=np.int64)  # index = 2*pull1 + pull2
-
-        def scalar(bits):
-            return int(lut[2 * bits[0] + bits[1]])
-
-        def batch(bits):
-            return lut[2 * bits[:, 0] + bits[:, 1]]
-
-        return scalar, batch
+        return lambda bits: lut[2 * bits[:, 0] + bits[:, 1]]
+    m = net.n_queues
     powers = np.array([1 << (m - 1 - i) for i in range(m)], dtype=np.int64)
-
-    def scalar(bits):
-        return int(sum(b << (m - 1 - i) for i, b in enumerate(bits)))
-
-    def batch(bits):
-        return bits.astype(np.int64) @ powers
-
-    return scalar, batch
+    return lambda bits: bits.astype(np.int64) @ powers
 
 
 def _threshold_policy(net: NetworkSpec, kind: str, cutoff: int) -> Policy:
-    m = net.n_queues
-    pull_q = _server_pull_queues(m)
-    pull_q_arr = np.array(pull_q, dtype=np.int64)
-    scalar_id, batch_id = _choice_id_maps(net)
-
-    def resolve(z: State) -> int:
-        return scalar_id([1 if z[pull_q[i]] > cutoff else 0 for i in range(m)])
-
-    def choose_batch(states: np.ndarray) -> np.ndarray:
-        return batch_id(states[:, pull_q_arr] > cutoff)
-
-    return Policy(kind, resolve, choose_batch)
+    # Server i pulls the queue of stream i-1, cyclically; for the push-pull
+    # pair (m == 2) this is exactly "server 1 pulls queue 2 and vice versa".
+    pull_q = (np.arange(net.n_queues) - 1) % net.n_queues
+    choice_ids = _choice_ids(net)
+    return _batch_policy(kind, lambda states: choice_ids(states[:, pull_q] > cutoff))
 
 
 def _push_priority_policy(net: NetworkSpec) -> Policy:
     if isinstance(net.meta, (PushPullMeta, RingMeta)):
-        all_push = 0  # first action in both enumerations
-
-        def resolve(z: State) -> int:
-            return all_push
-
-        def choose_batch(states: np.ndarray) -> np.ndarray:
-            return np.zeros(len(states), dtype=np.int64)
-
-        return Policy("push-priority", resolve, choose_batch)
+        return _constant_policy("push-priority", 0)  # first action in both enumerations
     assert isinstance(net.meta, ReentrantMeta)
     meta = net.meta
     ops1 = meta.server_operations(1)
@@ -255,12 +265,7 @@ def _push_priority_policy(net: NetworkSpec) -> Policy:
                 f"push-priority is unsupported here: server {server} has no supply step"
             )
         picks.append(ops.index(starts[0]))
-    action_id = picks[0] * len(ops2) + picks[1]
-
-    def resolve(z: State) -> int:
-        return action_id
-
-    return Policy("push-priority", resolve, None)
+    return _constant_policy("push-priority", picks[0] * len(ops2) + picks[1])
 
 
 def _reentrant_pull_priority(net: NetworkSpec) -> Policy:
@@ -268,23 +273,33 @@ def _reentrant_pull_priority(net: NetworkSpec) -> Policy:
     largest index wins, ties broken by stream order."""
     meta = net.meta
     assert isinstance(meta, ReentrantMeta)
-    ops1 = meta.server_operations(1)
-    ops2 = meta.server_operations(2)
-    order1 = sorted(ops1, key=lambda ij: (-ij[1], ij[0]))
-    order2 = sorted(ops2, key=lambda ij: (-ij[1], ij[0]))
-    pos1 = {op: k for k, op in enumerate(ops1)}
-    pos2 = {op: k for k, op in enumerate(ops2)}
+    servers = []  # per server, in priority order: position in its ops, supply step?, queue
+    for server in (1, 2):
+        ops = meta.server_operations(server)
+        order = sorted(ops, key=lambda ij: (-ij[1], ij[0]))
+        servers.append((
+            np.array([ops.index(op) for op in order], dtype=np.int64),
+            np.array([j == 0 for _, j in order]),
+            np.array([meta.queue_index(i, j) if j else 0 for i, j in order], dtype=np.int64),
+        ))
+    width = len(meta.server_operations(2))
 
-    def pick(z: State, order, server: int) -> tuple[int, int]:
-        for i, j in order:
-            if j == 0 or z[meta.queue_index(i, j)] >= 1:
-                return (i, j)
-        raise PolicyError(f"server {server} has no available operation at state {z}")
+    def choose_batch(states: np.ndarray) -> np.ndarray:
+        picks, starved = [], []
+        for positions, supply, queues in servers:
+            avail = supply | (states[:, queues] >= 1)
+            picks.append(positions[avail.argmax(axis=1)])
+            starved.append(~avail.any(axis=1))
+        bad = starved[0] | starved[1]
+        if bad.any():
+            row = int(bad.argmax())
+            server = 1 if starved[0][row] else 2
+            raise PolicyError(
+                f"server {server} has no available operation at state {_state(states[row])}"
+            )
+        return picks[0] * width + picks[1]
 
-    def resolve(z: State) -> int:
-        return pos1[pick(z, order1, 1)] * len(ops2) + pos2[pick(z, order2, 2)]
-
-    return Policy("pull-priority", resolve, None)
+    return _batch_policy("pull-priority", choose_batch)
 
 
 def make_policy(
@@ -310,14 +325,16 @@ def make_policy(
         (push-pull and ring families only).
     custom
         An explicit finite ``table`` of state -> action id with a
-        ``default`` id, or an arbitrary ``resolver`` callable. Availability
-        is validated at every step.
+        ``default`` id, or an arbitrary ``resolver`` callable, called
+        once per row in row order. Availability is validated at every step.
+
+    Every policy is a batch map; built-in kinds choose a batch in one call.
     """
     if kind not in POLICY_KINDS:
         raise ConstructionError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
     if kind == "custom":
         if resolver is not None:
-            return Policy("custom", resolver, None)
+            return _row_policy(resolver, net.n_actions)
         if table is None and default is None:
             raise ConstructionError("custom policies need a table/default or a resolver")
         mapping = {tuple(k): int(v) for k, v in (table or {}).items()}
@@ -328,7 +345,7 @@ def make_policy(
                 raise PolicyError(f"custom policy table has no entry for state {z}")
             return a
 
-        return Policy("custom", resolve, None)
+        return _row_policy(resolve, net.n_actions)
     if isinstance(net.meta, (PushPullMeta, RingMeta)):
         if kind == "pull-priority":
             return _threshold_policy(net, kind, 0)
@@ -410,38 +427,14 @@ def _state(row: np.ndarray) -> State:
     return tuple(int(v) for v in row)
 
 
-def _chooser(policy: Policy, n_actions: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The policy as a batch map from states to checked action ids.
-
-    A policy without ``choose_batch`` resolves one row at a time, in row
-    order; each id it returns must be an ``int`` or ``np.integer``, and not
-    a ``bool``. The error names the first row with a bad id.
-    """
-    def unknown(a, row: np.ndarray) -> PolicyError:
-        return PolicyError(f"policy produced an unknown action id {a!r} at state {_state(row)}")
-
-    choose_batch = policy.choose_batch
-    if choose_batch is None:
-        resolve = policy.resolve
-
-        def choose(states: np.ndarray) -> np.ndarray:
-            ids = [resolve(z) for z in map(tuple, states.tolist())]
-            for row, a in enumerate(ids):
-                ok = isinstance(a, (int, np.integer)) and not isinstance(a, bool)
-                if not ok or not 0 <= a < n_actions:
-                    raise unknown(a, states[row])
-            return np.array(ids, dtype=np.int64)
-
-        return choose
-
-    def checked(states: np.ndarray) -> np.ndarray:
-        acts = choose_batch(states)
-        if acts.min() < 0 or acts.max() >= n_actions:
-            row = int(np.argmax((acts < 0) | (acts >= n_actions)))
-            raise unknown(int(acts[row]), states[row])
-        return acts
-
-    return checked
+def _choose(policy: Policy, states: np.ndarray, n_actions: int) -> np.ndarray:
+    """The policy's action ids for ``states``, checked against the action
+    range; the error names the first row with an unknown id."""
+    acts = policy.choose_batch(states)
+    if acts.min() < 0 or acts.max() >= n_actions:
+        row = int(np.argmax((acts < 0) | (acts >= n_actions)))
+        raise _unknown_id(int(acts[row]), states[row])
+    return acts
 
 
 def _start_state(net: NetworkSpec, cfg: SimConfig) -> State:
@@ -457,8 +450,10 @@ def step(
     A batch of one on the engine's code: the policy's action is checked and
     its availability enforced, then one uniform variate picks the outcome.
     """
-    states = np.array([check_state(z, net.n_queues)], dtype=np.int64)
-    a = _chooser(policy, net.n_actions)(states)[0]
+    state = check_state(z, net.n_queues)
+    _check_headroom(state, 1)
+    states = np.array([state], dtype=np.int64)
+    a = _choose(policy, states, net.n_actions)[0]
     table = _Tables(net, [net.actions[a]])
     k = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
     return _state(states[0] + table.disp[0, k])
@@ -482,7 +477,6 @@ def _run(
     final states of the rows still live at the end.
     """
     x0 = np.array(_start_state(net, cfg), dtype=np.int64)
-    choose = _chooser(policy, net.n_actions)
     finals = []
     for start in range(0, cfg.trials, _BATCH):
         rows = slice(start, min(start + _BATCH, cfg.trials))
@@ -496,7 +490,7 @@ def _run(
                 n = min(_CHUNK, horizon - s)
                 for i in live.tolist():
                     chunk[i, :n] = gens[i].random(n)
-            acts = choose(states)
+            acts = _choose(policy, states, net.n_actions)
             idx = tables.sample(states, acts, chunk[live, col])
             disp = tables.disp[acts, idx]
             states += disp

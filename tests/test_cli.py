@@ -166,3 +166,27 @@ def test_martingale_huge_alpha_is_an_error(spec_dir, capsys, alpha):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "alpha is too large" in captured.err and "Traceback" not in captured.err
+
+
+def test_seed_at_or_above_2_64_is_an_error(spec_dir, capsys):
+    # A seed of 2**64 would alias seed 0 inside the 64-bit substream mix.
+    args = ["--trials", "5", "--steps", "5", "--format", "json"]
+    assert run(["simulate", spec_dir["pp-critical.json"], "--seed", str(2**64 - 1), *args]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["simulate", spec_dir["pp-critical.json"], "--seed", str(2**64), *args]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be an integer in [0, 2**64)" in captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--x0", "99999999999999999999,0"],
+    ["--policy", "push-priority", "--x0", f"{2**63 - 1},{2**63 - 1}"],
+    ["--x0", f"{2**63 - 20},0", "--steps", "5", "--cap", "20"],
+], ids=["beyond-int64", "int64-max", "cap-headroom"])
+def test_huge_start_state_is_an_error(spec_dir, capsys, extra):
+    args = ["--trials", "5", "--steps", "5", "--format", "json", *extra]
+    assert run(["simulate", spec_dir["pp-critical.json"], *args]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too large" in captured.err and "Traceback" not in captured.err

@@ -7,9 +7,10 @@ symmetric unit walk); everything else is asserted exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb, sqrt
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from qstab.jsonio import render_json
 from qstab.netmodel import (
     ConstructionError,
+    ReentrantMeta,
     build_custom,
     build_push_pull,
     build_reentrant,
@@ -47,6 +49,10 @@ F = Fraction
 
 def critical_pp():
     return build_push_pull(1, 1, 1, 1)
+
+
+def _ring8():
+    return build_ring([1, 2, 3, 1, 2, 3, 1, 1], [2, 1, 1, 3, 1, 2, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +156,105 @@ def test_custom_table_policy():
     rng = trial_rng(0, 0)
     with pytest.raises(PolicyError, match=r"\(0, 1\)"):
         step(net, pol, (0, 1), rng)  # default (push,pull) drains queue 1 here
+
+
+def _three_stream():
+    # Server 1 ties at step 2 (streams 1 and 3), server 2 at step 1.
+    return build_reentrant([
+        [(1, 1), (2, 1), (1, 1)],
+        [(2, 2), (1, 1), (2, 1), (1, 3)],
+        [(1, 1), (2, 2), (1, 2)],
+    ])
+
+
+@pytest.mark.parametrize("build,kind,cutoff,top", [
+    (build_two_stream_example, "pull-priority", 0, 2),
+    (_three_stream, "pull-priority", 0, 2),
+    (critical_pp, "threshold", 2, 4),
+    (lambda: build_ring([1] * 5, [1] * 5), "pull-priority", 0, 2),
+], ids=["two-stream", "three-stream", "push-pull threshold", "ring-5"])
+def test_choose_batch_matches_scalar_reference(build, kind, cutoff, top):
+    # Every state in {0..top}^M, as one batch against the scalar reference.
+    net = build()
+    pol = make_policy(net, kind, threshold=cutoff if kind == "threshold" else None)
+    ref = reference_resolver(net, kind, cutoff)
+    states = list(product(range(top + 1), repeat=net.n_queues))
+    got = pol.choose_batch(np.array(states, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [ref(z) for z in states]
+    assert [pol.resolve(z) for z in states[::37]] == got[::37].tolist()
+
+
+BUILT_IN = [
+    (critical_pp, "pull-priority"), (critical_pp, "push-priority"), (critical_pp, "threshold"),
+    (_ring8, "pull-priority"), (_ring8, "push-priority"), (_ring8, "threshold"),
+    (build_two_stream_example, "pull-priority"), (build_two_stream_example, "push-priority"),
+]
+
+
+@pytest.mark.parametrize("build,kind", BUILT_IN)
+def test_built_in_policies_choose_once_per_lockstep_step(build, kind):
+    net = build()
+    pol = make_policy(net, kind, threshold=1 if kind == "threshold" else None)
+    assert pol.choose_batch is not None
+    calls = []
+
+    def counted(states):
+        calls.append(len(states))
+        return pol.choose_batch(states)
+
+    def no_scalar(z):
+        raise AssertionError("the engine must not resolve rows one at a time")
+
+    counted_pol = dataclasses.replace(pol, resolve=no_scalar, choose_batch=counted)
+    steps = 3
+    run_trajectories(net, counted_pol, SimConfig(seed=0, steps=steps, trials=4100))
+    assert calls == [4096] * steps + [4] * steps  # one call per step of each batch
+
+
+def test_batch_lbfs_error_names_the_first_starved_row():
+    # Server 1's only step serves the single queue; server 2 only supplies.
+    one = build_reentrant([[(2, 1), (1, 1)]])
+    pol = make_policy(one, "pull-priority")
+    assert pol.choose_batch(np.array([[1], [3]])).tolist() == [0, 0]
+    with pytest.raises(PolicyError, match=r"^server 1 has no available operation at state \(0,\)$"):
+        pol.choose_batch(np.array([[2], [0], [1], [0]]))
+    # Rows 1 and 3 starve server 1; the message names row 1's state.
+    two = build_reentrant([[(2, 1), (1, 1), (2, 1)]])
+    pol = make_policy(two, "pull-priority")
+    with pytest.raises(PolicyError, match=r"^server 1 has no available operation at state \(0, 3\)$"):
+        pol.choose_batch(np.array([[1, 0], [0, 3], [2, 2], [0, 1]]))
+    with pytest.raises(PolicyError, match=r"at state \(0, 3\)$"):
+        run_trajectories(two, pol, SimConfig(seed=0, steps=1, trials=2, x0=(0, 3)))
+    # The mirrored network starves server 2. Both servers cannot starve in
+    # one row: every stream's supply step keeps one server always busy.
+    mirror = make_policy(build_reentrant([[(1, 1), (2, 1), (1, 1)]]), "pull-priority")
+    with pytest.raises(PolicyError, match=r"^server 2 has no available operation at state \(0, 5\)$"):
+        mirror.choose_batch(np.array([[1, 0], [0, 5], [0, 0]]))
+
+
+def test_custom_policies_run_once_per_row_in_row_order():
+    net = critical_pp()
+    seen = []
+
+    def resolver(z):
+        seen.append(z)
+        return 0
+
+    pol = make_policy(net, "custom", resolver=resolver)
+    assert pol.resolve is resolver
+    states = np.array([[3, 0], [0, 0], [1, 2], [0, 0]])
+    assert pol.choose_batch(states).tolist() == [0, 0, 0, 0]
+    assert seen == [(3, 0), (0, 0), (1, 2), (0, 0)]
+    assert all(type(x) is int for z in seen for x in z)
+    seen.clear()
+    run_trajectories(net, pol, SimConfig(seed=0, steps=4, trials=3))
+    assert len(seen) == 12
+    assert seen[:3] == [(0, 0)] * 3  # step 1 sees every trial at the start state, in trial order
+    table = make_policy(net, "custom", table={(1, 0): 2}, default=0)
+    assert table.choose_batch(states).tolist() == [0, 0, 0, 0]
+    with pytest.raises(PolicyError, match=r"no entry for state \(1, 2\)"):
+        make_policy(net, "custom", table={(0, 0): 0}).choose_batch(np.array([[0, 0], [1, 2], [3, 3]]))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +377,7 @@ def test_unavailable_action_error_names_smallest_id_and_its_first_row():
         net, "custom", resolver=lambda z: 0 if sum(z) == 0 else (2 if z[0] else 1)
     )
     seed, trials = 1, 8
-    after_one = [Replay(net, pol).trial(seed, t, (0, 0, 0), 1)[-1][2] for t in range(trials)]
+    after_one = [Replay(net, pol.resolve).trial(seed, t, (0, 0, 0), 1)[-1][2] for t in range(trials)]
     take_a = [z for z in after_one if not z[0]]
     assert after_one[0] == (1, 0, 0) and len(set(take_a)) == 2
     with pytest.raises(PolicyError) as err:
@@ -313,16 +418,47 @@ def test_engine_mean_matches_scalar_totals():
     assert summary.max_final_total == max(finals)
 
 
+def reference_resolver(net, kind, cutoff=0):
+    """A built-in policy as a scalar loop that shares no code with the engine.
+
+    Actions are found by label, not by id arithmetic. On push-pull and ring
+    networks server i pulls iff queue i-1 (cyclically) exceeds the cutoff.
+    On re-entrant networks each server serves its last buffer first: the
+    available step with the largest index wins, ties broken by stream order,
+    and a supply step (step 0) is always available.
+    """
+    by_label = {a.label: a.id for a in net.actions}
+    meta = net.meta
+    if kind in ("pull-priority", "threshold") and not isinstance(meta, ReentrantMeta):
+        m = net.n_queues
+
+        def resolve(z):
+            return by_label["(" + ",".join(
+                "pull" if z[(i - 1) % m] > cutoff else "push" for i in range(m)) + ")"]
+
+        return resolve
+    assert kind == "pull-priority"
+
+    def pick(z, server):
+        for i, j in sorted(meta.server_operations(server), key=lambda ij: (-ij[1], ij[0])):
+            if j == 0 or z[meta.queue_index(i, j)] >= 1:
+                return f"({i + 1},{j})"
+        raise PolicyError(f"server {server} has no available operation at state {z}")
+
+    return lambda z: by_label[f"({pick(z, 1)},{pick(z, 2)})"]
+
+
 class Replay:
     """The sampling contract in plain Python, sharing no code with the engine.
 
     Exact rationals become a float cumsum per action; a step draws one
     ``random()`` from the trial's own stream and takes ``bisect_right``
-    clamped to the last outcome. The policy is consulted through ``resolve``.
+    clamped to the last outcome. ``resolve`` maps a state tuple to the
+    policy's action id.
     """
 
-    def __init__(self, net, policy):
-        self.net, self.policy = net, policy
+    def __init__(self, net, resolve):
+        self.net, self.resolve = net, resolve
         self.cums = [
             list(accumulate(float(rate / act.total_rate) for _, rate in act.outcomes))
             for act in net.actions
@@ -333,7 +469,7 @@ class Replay:
         rng = trial_rng(seed, t)
         z, path = x0, []
         for _ in range(steps):
-            a = self.policy.resolve(z)
+            a = self.resolve(z)
             act = self.net.actions[a]
             assert all(z[k] >= 1 for k in act.drains)
             cum = self.cums[a]
@@ -345,9 +481,9 @@ class Replay:
         return path
 
 
-def replayed_reports(net, pol, alpha, cfg):
+def replayed_reports(net, resolve, alpha, cfg):
     """The four verbs' reports computed from Replay paths."""
-    rep = Replay(net, pol)
+    rep = Replay(net, resolve)
     x0 = cfg.x0 or (0,) * net.n_queues
     paths = [rep.trial(cfg.seed, t, x0, cfg.steps) for t in range(cfg.trials)]
     finals = [sum(path[-1][2]) for path in paths]
@@ -398,10 +534,6 @@ def replayed_reports(net, pol, alpha, cfg):
     return summary, return_stats, growth, drift, paths[0]
 
 
-def _ring8():
-    return build_ring([1, 2, 3, 1, 2, 3, 1, 1], [2, 1, 1, 3, 1, 2, 1, 2])
-
-
 REPLAY_CASES = {
     "push-pull": (
         critical_pp, "pull-priority", (1, -1), SimConfig(seed=3, steps=60, trials=40, cap=80),
@@ -429,8 +561,10 @@ def test_engine_matches_independent_replay(case):
     build, kind, alpha, cfg = REPLAY_CASES[case]
     net = build()
     alpha = alpha or reentrant_alpha(net)
-    pol = make_policy(net, kind, threshold=1 if kind == "threshold" else None)
-    summary, return_stats, growth, drift, path0 = replayed_reports(net, pol, alpha, cfg)
+    cutoff = 1 if kind == "threshold" else None
+    pol = make_policy(net, kind, threshold=cutoff)
+    resolve = reference_resolver(net, kind, cutoff or 0)
+    summary, return_stats, growth, drift, path0 = replayed_reports(net, resolve, alpha, cfg)
     assert run_trajectories(net, pol, cfg) == summary
     assert estimate_return_time(net, pol, cfg) == return_stats
     assert blowup_probe(net, pol, cfg) == growth
@@ -638,12 +772,33 @@ def test_config_validation():
         SimConfig(trials=0)
     with pytest.raises(ConstructionError):
         SimConfig(seed=-1)
+    with pytest.raises(ConstructionError, match=r"\[0, 2\*\*64\)"):
+        SimConfig(seed=2**64)  # would alias seed 0 in substream_seed
+    assert SimConfig(seed=2**64 - 1).seed == 2**64 - 1
     net = critical_pp()
     pol = make_policy(net, "pull-priority")
     with pytest.raises(ConstructionError):
         run_trajectories(net, pol, SimConfig(x0=(1, 2, 3), steps=2, trials=2))
     with pytest.raises(ConstructionError):
         run_trajectories(net, pol, SimConfig(x0=(-1, 0), steps=2, trials=2))
+
+
+def test_start_states_keep_int64_headroom():
+    # Push-priority adds one job per step, so 10 steps from a total of
+    # 2**63 - 11 end exactly at the int64 maximum without wrapping.
+    net = critical_pp()
+    push = make_policy(net, "push-priority")
+    top = 2**63 - 1
+    summary = run_trajectories(net, push, SimConfig(x0=(top - 10, 0), steps=10, cap=10, trials=2))
+    assert summary.max_final_total == top and sum(summary.final_state_trial0) == top
+    for x0, steps, cap in [((top - 9, 0), 10, 10), ((top - 19, 0), 5, 20), ((2**70, 0), 1, 1),
+                           ((top, top), 1, 1)]:
+        with pytest.raises(ConstructionError, match="too large"):
+            SimConfig(x0=x0, steps=steps, cap=cap)
+    assert step(net, push, (top - 1, 0), trial_rng(0, 0)) in {(top, 0), (top - 1, 1)}
+    for z in [(top, 0), (2**63, 0), (2**64, 0)]:
+        with pytest.raises(ConstructionError, match="too large"):
+            step(net, push, z, trial_rng(0, 0))
 
 
 def test_trajectory_summary_fields():
