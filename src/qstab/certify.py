@@ -19,16 +19,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Sequence
 
 from . import exactla
 from .netmodel import (
+    Displacement,
     NetworkSpec,
     PushPullMeta,
     ReentrantMeta,
     RingMeta,
     format_rational,
     index_sets,
+    integer_weights,
 )
 
 
@@ -38,28 +41,50 @@ class UnsupportedFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Per-action expected displacements, one row per action."""
+    """Per-action expected displacements, one row per action, in integer form.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    Entry k of row a is ``numerators[a][k] / scales[a]``. The scale of an
+    action is its total rate written over the least common denominator of
+    its outcome rates, and each numerator is the signed sum of the outcome
+    rates over that denominator, so every scale is positive and every
+    entry lies in [-1, 1]; both are checked.
+    """
+
+    numerators: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            for entry in row:
-                if abs(entry) > 1:
-                    raise ValueError(f"drift entry {entry} out of [-1, 1]")
+        if len(self.numerators) != len(self.scales):
+            raise ValueError(
+                f"{len(self.numerators)} drift rows but {len(self.scales)} scales"
+            )
+        for row, scale in zip(self.numerators, self.scales):
+            if scale <= 0:
+                raise ValueError(f"drift scale {scale} is not positive")
+            if row and (max(row) > scale or -min(row) > scale):
+                entry = next(Fraction(n, scale) for n in row if abs(n) > scale)
+                raise ValueError(f"drift entry {entry} out of [-1, 1]")
 
     @property
     def n_actions(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
 
     @property
     def n_queues(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.numerators[0]) if self.numerators else 0
+
+    @property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row scaled by its positive scale: the same rank and null space as D."""
+        return self.numerators
 
     @cached_property
-    def integer_rows(self) -> list[list[int]]:
-        """Each row scaled to integers by the lcm of its denominators, computed once."""
-        return exactla.clear_denominators(self.rows)
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact entries as Fractions, built on first use."""
+        return tuple(
+            tuple(Fraction(n, scale) for n in row)
+            for row, scale in zip(self.numerators, self.scales)
+        )
 
 
 @dataclass(frozen=True)
@@ -125,28 +150,49 @@ def drift_matrix(net: NetworkSpec) -> DriftMatrix:
     """Expected displacement of each action, rows in action-id order.
 
     Rows with zero drift (balanced actions) are kept so the matrix shape
-    stays L x M.
+    stays L x M. Each row is built in integers: the outcome rates over
+    their least common denominator are the weights, and the row's scale is
+    their sum.
     """
-    rows = []
+    entries: dict[Displacement, list[tuple[int, int]]] = {}
+    numerators, scales = [], []
     for act in net.actions:
-        row = [Fraction(0)] * net.n_queues
-        for d, rate in act.outcomes:
-            w = rate / act.total_rate
-            for k, x in enumerate(d):
-                if x:
-                    row[k] += w if x > 0 else -w
-        rows.append(tuple(row))
-    return DriftMatrix(tuple(rows))
+        weights, _ = integer_weights(rate for _, rate in act.outcomes)
+        row = [0] * net.n_queues
+        for (d, _), w in zip(act.outcomes, weights):
+            nonzero = entries.get(d)
+            if nonzero is None:
+                nonzero = entries[d] = [(k, x) for k, x in enumerate(d) if x]
+            for k, x in nonzero:
+                row[k] += x * w
+        numerators.append(tuple(row))
+        scales.append(sum(weights))
+    return DriftMatrix(tuple(numerators), tuple(scales))
+
+
+def _spanning_rows(d: DriftMatrix) -> list[tuple[int, ...]]:
+    """The distinct nonzero rows of D in primitive form (coprime, first nonzero positive).
+
+    They span the row space of D, so rank and null space are unchanged.
+    """
+    spanning: dict[tuple[int, ...], None] = {}
+    for row in d.numerators:
+        g = gcd(*row)
+        if g:
+            if next(x for x in row if x) < 0:
+                g = -g
+            spanning[tuple(x // g for x in row)] = None
+    return list(spanning)
 
 
 def rank(d: DriftMatrix) -> int:
     """Exact rank over the rationals."""
-    return exactla.rational_rank(d.rows)
+    return len(exactla.echelon(_spanning_rows(d))[1])
 
 
 def null_space_basis(d: DriftMatrix) -> list[tuple[int, ...]]:
     """Canonical integer basis of {alpha : D alpha = 0}."""
-    return exactla.null_space(d.integer_rows, d.n_queues)
+    return exactla.null_space(_spanning_rows(d), d.n_queues)
 
 
 def sign_matrix(d: DriftMatrix) -> SignMatrix:
@@ -197,12 +243,20 @@ def check_nondegeneracy_direct(net: NetworkSpec, alpha: Sequence[Fraction | int]
     and available action, a positive probability of changing alpha'X.
     """
     vec = _check_alpha(net, alpha)
-    return all(_moves(vec, act.support) for act in net.actions)
+    return _moves_every_action([vec], [act.support for act in net.actions])
 
 
-def _moves(alpha: Sequence[Fraction | int], support: Sequence[Sequence[int]]) -> bool:
-    """True iff some displacement in the support changes alpha'X."""
-    return any(sum(a * x for a, x in zip(alpha, d) if x) for d in support)
+def _moves_every_action(
+    vectors: Sequence[Sequence[Fraction | int]], supports: Sequence[Sequence[Displacement]]
+) -> bool:
+    """True iff every support has a displacement d with v.d != 0 for some v in vectors.
+
+    Each v.d is computed once per distinct displacement; an action then
+    moves when its support meets the set of moving displacements.
+    """
+    distinct = set().union(*supports)
+    moving = {d for d in distinct if any(sum(a * x for a, x in zip(v, d) if x) for v in vectors)}
+    return all(not moving.isdisjoint(s) for s in supports)
 
 
 def check_nondegeneracy_lemma(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
@@ -340,7 +394,7 @@ def _certificate_alpha(
 ) -> tuple[int, ...] | None:
     """A null space vector every action can move, or None when none exists."""
     supports = [act.support for act in net.actions]
-    if not basis or any(not any(_moves(b, s) for b in basis) for s in supports):
+    if not basis or not _moves_every_action(basis, supports):
         return None
 
     def candidates():
@@ -353,7 +407,7 @@ def _certificate_alpha(
             )
 
     for cand in candidates():
-        if all(_moves(cand, s) for s in supports):
+        if _moves_every_action([cand], supports):
             return exactla.normalize_integer_vector(cand)
     raise ArithmeticError("internal error: no weight vector alpha(t) moves every action")
 

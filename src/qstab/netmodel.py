@@ -20,6 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -52,7 +53,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render a rational as ``"num/den"``, omitting the denominator when 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -72,9 +74,13 @@ def as_rate(value: RateLike) -> Fraction:
         raise ConstructionError(
             f"rate must be an int, 'num/den' string, or Fraction, got {type(value).__name__}"
         )
-    if q <= 0:
+    if q.numerator <= 0:
         raise ConstructionError(f"rates must be positive, got {format_rational(q)}")
     return q
+
+
+# (+1 entries, -1 entries) of an arrival, a departure and a transfer.
+_UNIT_SHAPES = frozenset({(1, 0), (0, 1), (1, 1)})
 
 
 def check_displacement(disp: Sequence[int], n_queues: int) -> Displacement:
@@ -83,16 +89,11 @@ def check_displacement(disp: Sequence[int], n_queues: int) -> Displacement:
     A displacement either adds one job to a queue, removes one job from a
     queue, or moves one job between two distinct queues.
     """
-    d = tuple(int(x) for x in disp)
+    d = tuple(map(int, disp))
     if len(d) != n_queues:
         raise ConstructionError(f"displacement {d} has length {len(d)}, expected {n_queues}")
-    nonzero = [x for x in d if x]
-    ok = (
-        1 <= len(nonzero) <= 2
-        and all(x in (-1, 1) for x in nonzero)
-        and (len(nonzero) == 1 or sum(nonzero) == 0)
-    )
-    if not ok:
+    ups, downs = d.count(1), d.count(-1)
+    if ups + downs + d.count(0) != n_queues or (ups, downs) not in _UNIT_SHAPES:
         raise ConstructionError(
             f"displacement {d} must add one job, remove one job, or move one job between queues"
         )
@@ -131,13 +132,22 @@ def make_action(
     merged: dict[Displacement, Fraction] = {}
     for disp, rate in outcomes:
         d = check_displacement(disp, n_queues)
-        merged[d] = merged.get(d, Fraction(0)) + as_rate(rate)
+        r = as_rate(rate)
+        merged[d] = merged[d] + r if d in merged else r
     if not merged:
         raise ConstructionError(f"action {label!r} has no outcomes")
     ordered = tuple(sorted(merged.items()))
-    total = sum((r for _, r in ordered), Fraction(0))
-    drains = frozenset(k for d, _ in ordered for k, x in enumerate(d) if x == -1)
-    return ActionSpec(action_id, label, ordered, total, drains)
+    weights, scale = integer_weights(merged.values())
+    drains = frozenset(d.index(-1) for d in merged if -1 in d)
+    return ActionSpec(action_id, label, ordered, Fraction(sum(weights), scale), drains)
+
+
+def integer_weights(rates: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rates as integers over their least common denominator, and that denominator."""
+    rates = list(rates)
+    dens = [r.denominator for r in rates]
+    scale = lcm(*dens)
+    return [r.numerator * (scale // q) for r, q in zip(rates, dens)], scale
 
 
 @dataclass(frozen=True)
@@ -257,15 +267,11 @@ class IndexSets:
 def index_sets(net: NetworkSpec) -> IndexSets:
     external: set[int] = set()
     transfers: set[tuple[int, int]] = set()
-    for act in net.actions:
-        for d in act.support:
-            nz = [(k, x) for k, x in enumerate(d) if x]
-            if len(nz) == 1:
-                external.add(nz[0][0])
-            else:
-                src = next(k for k, x in nz if x == -1)
-                dst = next(k for k, x in nz if x == 1)
-                transfers.add((src, dst))
+    for d in {d for act in net.actions for d, _ in act.outcomes}:
+        if 1 in d and -1 in d:
+            transfers.add((d.index(-1), d.index(1)))
+        else:
+            external.add(d.index(1) if 1 in d else d.index(-1))
     return IndexSets(frozenset(external), frozenset(transfers))
 
 
@@ -309,15 +315,13 @@ def build_ring(lam: Sequence[RateLike], mu: Sequence[RateLike]) -> NetworkSpec:
     m = len(push)
     if m < 2:
         raise ConstructionError("a ring needs at least 2 servers")
+    choice_outcome = {
+        "push": [(_unit(m, srv, 1), push[srv]) for srv in range(m)],
+        "pull": [(_unit(m, (srv - 1) % m, -1), pull[(srv - 1) % m]) for srv in range(m)],
+    }
     actions = []
     for action_id, choices in enumerate(itertools.product(("push", "pull"), repeat=m)):
-        outcomes = []
-        for srv, choice in enumerate(choices):
-            if choice == "push":
-                outcomes.append((_unit(m, srv, 1), push[srv]))
-            else:
-                q = (srv - 1) % m
-                outcomes.append((_unit(m, q, -1), pull[q]))
+        outcomes = [choice_outcome[choice][srv] for srv, choice in enumerate(choices)]
         actions.append(make_action(action_id, "(" + ",".join(choices) + ")", outcomes, m))
     return NetworkSpec(m, tuple(actions), "ring", RingMeta(push, pull))
 
@@ -486,6 +490,8 @@ def loads_spec(text: str) -> NetworkSpec:
         raise SpecFileError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SpecFileError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SpecFileError("top level must be an object")
     family = doc.get("family")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -544,16 +545,17 @@ def _displacements(m):
     return out
 
 
+def _part(d, rate, balanced):
+    """One outcome, or a balanced pair d, -d at equal rates."""
+    return [(d, rate), (tuple(-x for x in d), rate)] if balanced else [(d, rate)]
+
+
 @st.composite
 def custom_nets(draw):
     """(M, actions): each action is one or two parts, a part is one outcome or a
     balanced pair d, -d at equal rates, so drift rows often cancel."""
     m = draw(st.integers(1, 4))
-
-    def part(d, rate, balanced):
-        return [(d, rate), (tuple(-x for x in d), rate)] if balanced else [(d, rate)]
-
-    parts = st.builds(part, st.sampled_from(_displacements(m)), st.integers(1, 3), st.booleans())
+    parts = st.builds(_part, st.sampled_from(_displacements(m)), st.integers(1, 3), st.booleans())
     action = st.lists(parts, min_size=1, max_size=2).map(lambda ps: [o for p in ps for o in p])
     return m, draw(st.lists(action, min_size=1, max_size=6))
 
@@ -580,3 +582,64 @@ def test_verdict_matches_subspace_oracle(spec):
         assert all(moves(cert.alpha, outs) for outs in actions)
     else:
         assert cert.alpha is None
+
+
+def _canonical(vec):
+    """Coprime integers with the first nonzero entry positive, computed locally."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return tuple(sign * x // g for x in ints)
+
+
+_rates = st.one_of(
+    st.integers(1, 9),
+    st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def nets_with_repeated_outcomes(draw):
+    """(M, actions) where displacements repeat within an action, balanced pairs d, -d
+    can zero a row, and rows repeat across actions."""
+    m = draw(st.integers(1, 3))
+    parts = st.builds(_part, st.sampled_from(_displacements(m)), _rates, st.booleans())
+    action = st.lists(parts, min_size=1, max_size=3).map(lambda ps: [o for p in ps for o in p])
+    action = action.flatmap(
+        lambda outs: st.lists(st.sampled_from(outs), max_size=3).map(lambda extra: outs + extra)
+    )
+    actions = draw(st.lists(action, min_size=1, max_size=5))
+    return m, actions + draw(st.lists(st.sampled_from(actions), max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nets_with_repeated_outcomes())
+def test_integer_drift_matches_definition(spec):
+    m, actions = spec
+    net = build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)])
+    d = drift_matrix(net)
+    expected = []
+    for act, outs in zip(net.actions, actions):
+        total = sum((F(rate) for _, rate in outs), F(0))
+        assert act.total_rate == total
+        assert len(act.outcomes) == len({disp for disp, _ in outs})
+        expected.append(tuple(sum((F(rate) / total * disp[k] for disp, rate in outs), F(0))
+                              for k in range(m)))
+    assert d.rows == tuple(expected)
+    assert all(s > 0 for s in d.scales)
+    oracle = [_canonical(v) for v in _oracle_null_space(expected, m)]
+    assert null_space_basis(d) == oracle
+    assert rank(d) == m - len(oracle)
+
+
+@pytest.mark.parametrize("numerators, scales", [
+    (((2, 0),), (1,)),
+    (((0, -3),), (2,)),
+    (((1, 0),), (0,)),
+    (((1, 0), (0, 1)), (1,)),
+], ids=["above-one", "below-minus-one", "zero-scale", "scale-count"])
+def test_hand_built_drift_matrix_is_checked(numerators, scales):
+    with pytest.raises(ValueError):
+        certify.DriftMatrix(numerators, scales)

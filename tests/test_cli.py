@@ -190,3 +190,13 @@ def test_huge_start_state_is_an_error(spec_dir, capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "too large" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"family": ' + '{"x": ' * 200_000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_spec_is_an_error(spec_dir, capsys, text):
+    path = spec_dir["write"]("deep.json", text)
+    assert run(["certify", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested too deeply" in captured.err and "Traceback" not in captured.err

@@ -261,6 +261,11 @@ def test_custom_rejects_bad_displacements():
         build_custom(2, [("bad", [((1, 1), 1)])])
     with pytest.raises(ConstructionError):
         build_custom(2, [("bad", [((0, 0), 1)])])
+    for disp in ((1, 1, -1), (-1, 1, -1), (2, -1, 0), (1, -2, 1), (-1, -1, 0)):
+        with pytest.raises(ConstructionError, match="must add one job, remove one job"):
+            build_custom(3, [("ok", [((1, 0, 0), 1)]), ("bad", [((0, 1, 0), 1), (disp, 1)])])
+    with pytest.raises(ConstructionError, match=r"has length 2, expected 3"):
+        build_custom(3, [("short", [((1, 0), 1)])])
 
 
 # ---------------------------------------------------------------------------
