@@ -20,10 +20,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import exactla
 from .netmodel import (
+    Choice,
     Displacement,
     NetworkSpec,
     PushPullMeta,
@@ -150,16 +151,45 @@ def drift_matrix(net: NetworkSpec) -> DriftMatrix:
     """Expected displacement of each action, rows in action-id order.
 
     Rows with zero drift (balanced actions) are kept so the matrix shape
-    stays L x M. Each row is built in integers: the outcome rates over
-    their least common denominator are the weights, and the row's scale is
-    their sum.
+    stays L x M. Needs the materialized action list.
+    """
+    return _drift_rows((act.outcomes for act in net.actions), net.n_queues)
+
+
+def spanning_drift_matrix(net: NetworkSpec) -> DriftMatrix:
+    """Drift rows that span the row space of D without listing every action.
+
+    The rows are those of the action c0 taking every server's first choice
+    and of each action that switches one server of c0 to another choice:
+    1 + sum_s (|menu_s| - 1) rows. With u_s(k) the rate-weighted
+    displacement of choice k of server s, the drift of action c is a
+    positive multiple of u_c = sum_s u_s(c_s) = u_c0 + sum_s (u_{c0, s->c_s}
+    - u_c0), so these rows give D's rank and null space. A custom network
+    has one server, and its rows are all of D.
+    """
+    first = [menu[0] for menu in net.menus]
+    vectors = [first]
+    for s, menu in enumerate(net.menus):
+        vectors += [first[:s] + [choice] + first[s + 1:] for choice in menu[1:]]
+    return _drift_rows(
+        ([o for choice in vec for o in choice.outcomes] for vec in vectors), net.n_queues
+    )
+
+
+def _drift_rows(
+    actions: Iterable[Sequence[tuple[Displacement, Fraction]]], n_queues: int
+) -> DriftMatrix:
+    """One drift row per outcome list, built in integers.
+
+    The outcome rates over their least common denominator are the
+    weights, and the row's scale is their sum.
     """
     entries: dict[Displacement, list[tuple[int, int]]] = {}
     numerators, scales = [], []
-    for act in net.actions:
-        weights, _ = integer_weights(rate for _, rate in act.outcomes)
-        row = [0] * net.n_queues
-        for (d, _), w in zip(act.outcomes, weights):
+    for outcomes in actions:
+        weights, _ = integer_weights(rate for _, rate in outcomes)
+        row = [0] * n_queues
+        for (d, _), w in zip(outcomes, weights):
             nonzero = entries.get(d)
             if nonzero is None:
                 nonzero = entries[d] = [(k, x) for k, x in enumerate(d) if x]
@@ -243,20 +273,22 @@ def check_nondegeneracy_direct(net: NetworkSpec, alpha: Sequence[Fraction | int]
     and available action, a positive probability of changing alpha'X.
     """
     vec = _check_alpha(net, alpha)
-    return _moves_every_action([vec], [act.support for act in net.actions])
+    return _moves_every_action([vec], net.menus)
 
 
 def _moves_every_action(
-    vectors: Sequence[Sequence[Fraction | int]], supports: Sequence[Sequence[Displacement]]
+    vectors: Sequence[Sequence[Fraction | int]], menus: Sequence[Sequence[Choice]]
 ) -> bool:
-    """True iff every support has a displacement d with v.d != 0 for some v in vectors.
+    """True iff every action has a displacement d with v.d != 0 for some v in vectors.
 
-    Each v.d is computed once per distinct displacement; an action then
-    moves when its support meets the set of moving displacements.
+    An action's support is the union of its choices' supports, so some
+    action is stuck exactly when every server has a choice whose whole
+    support is stuck; the test costs one pass over the menus, not one per
+    action. Each v.d is computed once per distinct displacement.
     """
-    distinct = set().union(*supports)
+    distinct = set().union(*(choice.support for menu in menus for choice in menu))
     moving = {d for d in distinct if any(sum(a * x for a, x in zip(v, d) if x) for v in vectors)}
-    return all(not moving.isdisjoint(s) for s in supports)
+    return any(all(not moving.isdisjoint(c.support) for c in menu) for menu in menus)
 
 
 def check_nondegeneracy_lemma(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
@@ -349,12 +381,12 @@ def family_alpha(net: NetworkSpec) -> tuple[Fraction, ...] | None:
     """
     alpha = _closed_form(net)
     if alpha is not None:
-        _assert_harmonic(drift_matrix(net), alpha)
+        _assert_harmonic(spanning_drift_matrix(net), alpha)
     return alpha
 
 
 def _assert_harmonic(d: DriftMatrix, alpha: Sequence[Fraction]) -> tuple[int, ...]:
-    """The canonical integer form of closed-form weights, checked against D's integer rows."""
+    """The canonical integer form of closed-form weights, checked against integer rows of D."""
     vec = exactla.normalize_integer_vector(alpha)
     if not all(sum(r * a for r, a in zip(row, vec) if r) == 0 for row in d.integer_rows):
         raise ArithmeticError("internal error: closed-form weights are not harmonic")
@@ -393,8 +425,7 @@ def _certificate_alpha(
     closed: tuple[int, ...] | None,
 ) -> tuple[int, ...] | None:
     """A null space vector every action can move, or None when none exists."""
-    supports = [act.support for act in net.actions]
-    if not basis or not _moves_every_action(basis, supports):
+    if not basis or not _moves_every_action(basis, net.menus):
         return None
 
     def candidates():
@@ -407,7 +438,7 @@ def _certificate_alpha(
             )
 
     for cand in candidates():
-        if _moves_every_action([cand], supports):
+        if _moves_every_action([cand], net.menus):
             return exactla.normalize_integer_vector(cand)
     raise ArithmeticError("internal error: no weight vector alpha(t) moves every action")
 
@@ -428,12 +459,14 @@ def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
     alpha(t) = sum_k t^(k-1) b_k for t = 1, 2, .... For an unblocked action
     a, alpha(t).d is a nonzero polynomial in t of degree below n for some d
     in its support, so it has at most n - 1 roots, and one of the first
-    L(n-1)+1 values of t works for all L actions. The alpha found is
+    L(n-1)+1 values of t works for all L actions. The null space comes
+    from :func:`spanning_drift_matrix` and every test above reads the
+    server menus, so the L actions are never listed. The alpha found is
     returned in canonical integer form with verdict NON_STABILIZABLE. Else
     the verdict is INCONCLUSIVE with the null space basis attached: no
     certificate exists, which does not assert stability either.
     """
-    d = drift_matrix(net)
+    d = spanning_drift_matrix(net)
     basis = tuple(null_space_basis(d))
     rk = net.n_queues - len(basis)
     critical = None if net.family == "custom" else is_critical(net)

@@ -13,20 +13,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-RationalMatrix = Sequence[Sequence[Fraction]]
-
-
-def clear_denominators(rows: RationalMatrix) -> list[list[int]]:
-    """Scale each row to integers by the lcm of its denominators.
-
-    Row-wise positive scaling preserves rank and null space.
-    """
-    out = []
-    for row in rows:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([f.numerator * (mult // f.denominator) for f in row])
-    return out
-
 
 def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of an integer matrix.
@@ -61,20 +47,6 @@ def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rational_rank(rows: RationalMatrix) -> int:
-    """Exact rank of a matrix with Fraction entries."""
-    ints = clear_denominators(rows)
-    if not ints or not ints[0]:
-        return 0
-    _, pivots = echelon(ints)
-    return len(pivots)
-
-
-def rational_null_space(rows: RationalMatrix, n_cols: int) -> list[tuple[int, ...]]:
-    """Basis of the right null space of a matrix with Fraction entries."""
-    return null_space(clear_denominators(rows), n_cols)
 
 
 def null_space(rows: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:

@@ -8,6 +8,11 @@ fire only in states where none of its outcomes would drive a queue
 negative, which is exactly the non-idling convention that pulls require a
 nonempty queue.
 
+Actions are stored factored: each server has a menu of choices, and an
+action is one choice per server whose outcomes are the union of the
+chosen outcomes. The action list is the product of the menus and is only
+built when a caller needs its rows (and refused above ``MAX_ACTIONS``).
+
 Three concrete families are provided (the two-server push-pull network, a
 ring of push-pull servers, and two-server re-entrant lines) plus fully
 custom action lists. All rates are exact rationals; this module never
@@ -20,7 +25,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -29,6 +35,11 @@ Displacement = tuple[int, ...]
 State = tuple[int, ...]
 
 FAMILIES = ("pushpull", "ring", "reentrant", "custom")
+
+# Largest action list that is ever materialized (a ring with 14 servers).
+# Larger networks still load and certify from their menus, but drift
+# matrices, simulation and export refuse them.
+MAX_ACTIONS = 1 << 14
 
 
 class ConstructionError(ValueError):
@@ -122,20 +133,37 @@ class ActionSpec:
         return tuple(d for d, _ in self.outcomes)
 
 
-def make_action(
-    action_id: int,
-    label: str,
-    outcomes: Iterable[tuple[Sequence[int], RateLike]],
-    n_queues: int,
-) -> ActionSpec:
-    """Build an ActionSpec, merging duplicate displacements by summing rates."""
-    merged: dict[Displacement, Fraction] = {}
-    for disp, rate in outcomes:
-        d = check_displacement(disp, n_queues)
-        r = as_rate(rate)
-        merged[d] = merged[d] + r if d in merged else r
-    if not merged:
+@dataclass(frozen=True)
+class Choice:
+    """One entry of a server's menu: a label and its validated outcomes."""
+
+    label: str
+    outcomes: tuple[tuple[Displacement, Fraction], ...]
+
+    @cached_property
+    def support(self) -> frozenset[Displacement]:
+        return frozenset(d for d, _ in self.outcomes)
+
+
+def make_choice(
+    label: str, outcomes: Iterable[tuple[Sequence[int], RateLike]], n_queues: int
+) -> Choice:
+    """Validate every outcome of one menu entry once."""
+    checked = tuple((check_displacement(d, n_queues), as_rate(r)) for d, r in outcomes)
+    if not checked:
         raise ConstructionError(f"action {label!r} has no outcomes")
+    return Choice(label, checked)
+
+
+def _combine(action_id: int, choices: Sequence[Choice]) -> ActionSpec:
+    """The action taking one choice per server, merging duplicate displacements by summing rates."""
+    label = choices[0].label if len(choices) == 1 else (
+        "(" + ",".join(c.label for c in choices) + ")"
+    )
+    merged: dict[Displacement, Fraction] = {}
+    for choice in choices:
+        for d, r in choice.outcomes:
+            merged[d] = merged[d] + r if d in merged else r
     ordered = tuple(sorted(merged.items()))
     weights, scale = integer_weights(merged.values())
     drains = frozenset(d.index(-1) for d in merged if -1 in d)
@@ -196,14 +224,6 @@ class ReentrantMeta:
             raise ValueError(f"stream {stream} has no queue for step {step}")
         return self.offsets[stream] + step - 1
 
-    def locate_queue(self, queue: int) -> tuple[int, int]:
-        """Inverse of queue_index: the (stream, step) serving this queue."""
-        offs = self.offsets
-        for i in range(self.n_streams):
-            if offs[i] <= queue < offs[i + 1]:
-                return i, queue - offs[i] + 1
-        raise ValueError(f"no queue {queue}")
-
     def operations(self) -> list[tuple[int, int]]:
         """All (stream, step) pairs, supply steps included."""
         return [(i, j) for i, s in enumerate(self.streams) for j in range(len(s))]
@@ -232,19 +252,40 @@ FamilyMeta = Union[PushPullMeta, RingMeta, ReentrantMeta, None]
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A homogeneous controlled queueing network."""
+    """A homogeneous controlled queueing network.
+
+    ``menus[s]`` holds the choices of server s, and an action is one
+    choice per server. A custom network has a single server whose menu is
+    its action list. Action ids count the choice vectors in mixed radix,
+    server 0 most significant, unless ``ids`` maps each such index to an
+    action id.
+    """
 
     n_queues: int
-    actions: tuple[ActionSpec, ...]
+    menus: tuple[tuple[Choice, ...], ...]
     family: str
     meta: FamilyMeta = None
+    ids: tuple[int, ...] | None = None
 
-    @property
+    @cached_property
     def n_actions(self) -> int:
-        return len(self.actions)
+        return prod(len(menu) for menu in self.menus)
+
+    @cached_property
+    def actions(self) -> tuple[ActionSpec, ...]:
+        """Every action in id order, built on first use."""
+        n = self.n_actions
+        if n > MAX_ACTIONS:
+            raise ConstructionError(
+                f"the network has {n} actions, more than the {MAX_ACTIONS} that drift "
+                "matrices, simulation and export can list; certify and alpha take any size"
+            )
+        ids = range(n) if self.ids is None else self.ids
+        built = [_combine(i, choices) for i, choices in zip(ids, itertools.product(*self.menus))]
+        return tuple(sorted(built, key=lambda act: act.id))
 
     def action(self, action_id: int) -> ActionSpec:
-        if not 0 <= action_id < len(self.actions):
+        if not 0 <= action_id < self.n_actions:
             raise ConstructionError(f"unknown action id {action_id}")
         return self.actions[action_id]
 
@@ -267,7 +308,7 @@ class IndexSets:
 def index_sets(net: NetworkSpec) -> IndexSets:
     external: set[int] = set()
     transfers: set[tuple[int, int]] = set()
-    for d in {d for act in net.actions for d, _ in act.outcomes}:
+    for d in {d for menu in net.menus for choice in menu for d in choice.support}:
         if 1 in d and -1 in d:
             transfers.add((d.index(-1), d.index(1)))
         else:
@@ -286,17 +327,16 @@ def build_push_pull(lam1: RateLike, lam2: RateLike, mu1: RateLike, mu2: RateLike
 
     Server 1 pushes stream 1 (rate lam1) or pulls queue 2 (rate mu2);
     server 2 pushes stream 2 (rate lam2) or pulls queue 1 (rate mu1).
-    Four actions, one per pair of server choices.
+    Four actions, one per pair of server choices, with ids 0 (push,push),
+    1 (pull,pull), 2 (push,pull) and 3 (pull,push).
     """
     l1, l2 = as_rate(lam1), as_rate(lam2)
     m1, m2 = as_rate(mu1), as_rate(mu2)
-    actions = (
-        make_action(0, "(push,push)", [((1, 0), l1), ((0, 1), l2)], 2),
-        make_action(1, "(pull,pull)", [((-1, 0), m1), ((0, -1), m2)], 2),
-        make_action(2, "(push,pull)", [((1, 0), l1), ((-1, 0), m1)], 2),
-        make_action(3, "(pull,push)", [((0, 1), l2), ((0, -1), m2)], 2),
+    menus = (
+        (make_choice("push", [((1, 0), l1)], 2), make_choice("pull", [((0, -1), m2)], 2)),
+        (make_choice("push", [((0, 1), l2)], 2), make_choice("pull", [((-1, 0), m1)], 2)),
     )
-    return NetworkSpec(2, actions, "pushpull", PushPullMeta((l1, l2), (m1, m2)))
+    return NetworkSpec(2, menus, "pushpull", PushPullMeta((l1, l2), (m1, m2)), (0, 2, 3, 1))
 
 
 def build_ring(lam: Sequence[RateLike], mu: Sequence[RateLike]) -> NetworkSpec:
@@ -304,7 +344,8 @@ def build_ring(lam: Sequence[RateLike], mu: Sequence[RateLike]) -> NetworkSpec:
 
     Server i chooses between pushing stream i (displacement +e_i at rate
     lam[i]) and pulling stream i-1 (displacement -e_{i-1} at rate mu[i-1]),
-    indices cyclic. One action per vector of server choices, 2^M total.
+    indices cyclic. One action per vector of server choices, 2^M total,
+    listed with push before pull and server 0 varying slowest.
     """
     push = tuple(as_rate(x) for x in lam)
     pull = tuple(as_rate(x) for x in mu)
@@ -315,15 +356,12 @@ def build_ring(lam: Sequence[RateLike], mu: Sequence[RateLike]) -> NetworkSpec:
     m = len(push)
     if m < 2:
         raise ConstructionError("a ring needs at least 2 servers")
-    choice_outcome = {
-        "push": [(_unit(m, srv, 1), push[srv]) for srv in range(m)],
-        "pull": [(_unit(m, (srv - 1) % m, -1), pull[(srv - 1) % m]) for srv in range(m)],
-    }
-    actions = []
-    for action_id, choices in enumerate(itertools.product(("push", "pull"), repeat=m)):
-        outcomes = [choice_outcome[choice][srv] for srv, choice in enumerate(choices)]
-        actions.append(make_action(action_id, "(" + ",".join(choices) + ")", outcomes, m))
-    return NetworkSpec(m, tuple(actions), "ring", RingMeta(push, pull))
+    menus = tuple(
+        (make_choice("push", [(_unit(m, srv, 1), push[srv])], m),
+         make_choice("pull", [(_unit(m, (srv - 1) % m, -1), pull[(srv - 1) % m])], m))
+        for srv in range(m)
+    )
+    return NetworkSpec(m, menus, "ring", RingMeta(push, pull))
 
 
 def build_reentrant(
@@ -366,20 +404,13 @@ def build_reentrant(
         d[meta.queue_index(i, j + 1)] = 1
         return tuple(d), rate
 
-    ops1 = meta.server_operations(1)
-    ops2 = meta.server_operations(2)
-    for server, ops in ((1, ops1), (2, ops2)):
+    menus = []
+    for server in (1, 2):
+        ops = meta.server_operations(server)
         if not ops:
             raise ConstructionError(f"server {server} has no operations")
-    actions = []
-    for idx1, (i1, j1) in enumerate(ops1):
-        for idx2, (i2, j2) in enumerate(ops2):
-            action_id = idx1 * len(ops2) + idx2
-            label = f"(({i1 + 1},{j1}),({i2 + 1},{j2}))"
-            actions.append(
-                make_action(action_id, label, [step_outcome(i1, j1), step_outcome(i2, j2)], m)
-            )
-    return NetworkSpec(m, tuple(actions), "reentrant", meta)
+        menus.append(tuple(make_choice(f"({i + 1},{j})", [step_outcome(i, j)], m) for i, j in ops))
+    return NetworkSpec(m, tuple(menus), "reentrant", meta)
 
 
 def build_custom(
@@ -391,10 +422,8 @@ def build_custom(
         raise ConstructionError("a network needs at least one queue")
     if not actions:
         raise ConstructionError("a network needs at least one action")
-    built = tuple(
-        make_action(i, label, outcomes, n_queues) for i, (label, outcomes) in enumerate(actions)
-    )
-    return NetworkSpec(n_queues, built, "custom", None)
+    menu = tuple(make_choice(label, outcomes, n_queues) for label, outcomes in actions)
+    return NetworkSpec(n_queues, (menu,), "custom", None)
 
 
 # Illustrative layout of two re-entrant streams with 3 and 4 queues: the
@@ -492,6 +521,8 @@ def loads_spec(text: str) -> NetworkSpec:
         ) from exc
     except RecursionError as exc:
         raise SpecFileError("invalid JSON: arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # an integer literal beyond the int conversion digit limit
+        raise SpecFileError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError("top level must be an object")
     family = doc.get("family")

@@ -329,12 +329,16 @@ def make_policy(
         once per row in row order. Availability is validated at every step.
 
     Every policy is a batch map; built-in kinds choose a batch in one call.
+    Policies index the network's action list, so a network with more than
+    ``netmodel.MAX_ACTIONS`` actions raises ConstructionError.
     """
     if kind not in POLICY_KINDS:
         raise ConstructionError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
+    # A policy picks rows of the action list, so a network too large to list has none.
+    n_actions = len(net.actions)
     if kind == "custom":
         if resolver is not None:
-            return _row_policy(resolver, net.n_actions)
+            return _row_policy(resolver, n_actions)
         if table is None and default is None:
             raise ConstructionError("custom policies need a table/default or a resolver")
         mapping = {tuple(k): int(v) for k, v in (table or {}).items()}
@@ -345,7 +349,7 @@ def make_policy(
                 raise PolicyError(f"custom policy table has no entry for state {z}")
             return a
 
-        return _row_policy(resolve, net.n_actions)
+        return _row_policy(resolve, n_actions)
     if isinstance(net.meta, (PushPullMeta, RingMeta)):
         if kind == "pull-priority":
             return _threshold_policy(net, kind, 0)

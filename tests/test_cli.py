@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -200,3 +201,33 @@ def test_deeply_nested_spec_is_an_error(spec_dir, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nested too deeply" in captured.err and "Traceback" not in captured.err
+
+
+def _big_ring(m: int) -> dict:
+    lam = [("1", "2", "3/2", "5/3")[k % 4] for k in range(m)]
+    return {"family": "ring", "lambda": lam, "mu": lam}
+
+
+def test_certify_and_alpha_take_rings_of_any_size(spec_dir, capsys):
+    path = spec_dir["write"]("ring40.json", _big_ring(40))
+    start = time.perf_counter()
+    assert run(["certify", path, "--format", "json"]) == EXIT_OK
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["L"] == 1099511627776 == 2**40
+    assert payload["verdict"] == "non-stabilizable" and payload["rank"] == 39
+    assert elapsed < 1.0  # 2^40 actions are never listed
+    assert run(["alpha", path, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["alpha"][:2] == ["1", "-1/2"]
+
+
+@pytest.mark.parametrize("m", [40, 70])
+@pytest.mark.parametrize("verb", ["drift", "simulate", "return-time", "martingale", "blowup"])
+def test_verbs_that_list_actions_refuse_huge_networks(spec_dir, capsys, verb, m):
+    path = spec_dir["write"](f"ring{m}.json", _big_ring(m))
+    extra = [] if verb == "drift" else ["--trials", "2", "--steps", "2", "--cap", "2"]
+    assert run([verb, path, *extra]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the network has {2**m} actions" in captured.err
+    assert "Traceback" not in captured.err

@@ -9,7 +9,7 @@ three on random matrices is the correctness argument for the exact path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 from hypothesis import given, settings
@@ -63,25 +63,37 @@ def rational_matrices(draw):
     return [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
 
 
+def integer_rows(rows) -> list[list[int]]:
+    """Each row times the lcm of its denominators: the same rank and null space."""
+    out = []
+    for row in rows:
+        mult = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * mult) for x in row])
+    return out
+
+
+def echelon_rank(rows) -> int:
+    return len(exactla.echelon(rows)[1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_matrices())
 def test_rank_matches_both_oracles(matrix):
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    assert exactla.rational_rank(rows) == fraction_rank(matrix) == float_rank(matrix)
+    assert echelon_rank(matrix) == fraction_rank(matrix) == float_rank(matrix)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices())
 def test_rank_on_rational_entries(matrix):
-    assert exactla.rational_rank(matrix) == fraction_rank(matrix)
+    assert echelon_rank(integer_rows(matrix)) == fraction_rank(matrix)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices())
 def test_null_space_annihilated_and_complete(matrix):
     n_cols = len(matrix[0])
-    rank = exactla.rational_rank(matrix)
-    basis = exactla.rational_null_space(matrix, n_cols)
+    rank = fraction_rank(matrix)
+    basis = exactla.null_space(integer_rows(matrix), n_cols)
     assert len(basis) == n_cols - rank
     for vec in basis:
         assert all(exactla.dot(row, vec) == 0 for row in matrix)
@@ -94,7 +106,7 @@ def test_null_space_annihilated_and_complete(matrix):
 @given(rational_matrices())
 def test_null_space_vectors_are_canonical(matrix):
     n_cols = len(matrix[0])
-    for vec in exactla.rational_null_space(matrix, n_cols):
+    for vec in exactla.null_space(integer_rows(matrix), n_cols):
         nonzero = [x for x in vec if x]
         assert nonzero, "null-space vectors are nonzero"
         assert gcd(*vec) == 1
@@ -111,7 +123,7 @@ def test_echelon_skips_zero_columns():
     matrix = [[0, 3, 1], [0, 6, 2]]
     _, pivots = exactla.echelon(matrix)
     assert pivots == [1]
-    assert exactla.rational_rank([[Fraction(x) for x in r] for r in matrix]) == 1
+    assert exactla.null_space(matrix, 3) == [(1, 0, 0), (0, 1, -3)]
 
 
 def test_normalize_integer_vector():
@@ -127,6 +139,11 @@ def test_normalize_rejects_zero_vector():
         exactla.normalize_integer_vector([Fraction(0), Fraction(0)])
 
 
-def test_clear_denominators_row_wise():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2), Fraction(0)]]
-    assert exactla.clear_denominators(rows) == [[3, 2], [2, 0]]
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(), st.data())
+def test_row_scaling_preserves_rank_and_null_space(matrix, data):
+    scales = [data.draw(st.integers(1, 7)) for _ in matrix]
+    scaled = [[k * x for x in row] for k, row in zip(scales, matrix)]
+    n_cols = len(matrix[0])
+    assert exactla.echelon(scaled)[1] == exactla.echelon(matrix)[1]
+    assert exactla.null_space(scaled, n_cols) == exactla.null_space(matrix, n_cols)

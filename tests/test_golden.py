@@ -21,9 +21,11 @@ from qstab.netmodel import build_ring, dump_spec
 POOL = ["1", "2", "3/2", "5/3", "7/4", "4", "9/5", "2/3"]
 
 
-def _ring(m: int) -> dict:
+def _ring(m: int, shift: int = 0) -> dict:
+    # shift 0 gives equal push and pull rates per stream (critical)
     lam = [POOL[(3 * k + m) % len(POOL)] for k in range(m)]
-    return {"family": "ring", "lambda": lam, "mu": lam}
+    mu = [POOL[(3 * k + m + shift) % len(POOL)] for k in range(m)]
+    return {"family": "ring", "lambda": lam, "mu": mu}
 
 
 def _two_stream(last: str) -> dict:
@@ -53,7 +55,8 @@ def _exported_ring() -> dict:
 
 CASES = {
     "pushpull": {"family": "pushpull", "lambda": ["1", "2"], "mu": ["1", "2"]},
-    **{f"ring{m}": _ring(m) for m in range(2, 9)},
+    **{f"ring{m}": _ring(m) for m in (*range(2, 9), 10, 12)},
+    "ring8-noncritical": _ring(8, 1),
     "two-stream-critical": _two_stream("3/2"),
     "two-stream-noncritical": _two_stream("2"),
     "swap5": _swap(5),
@@ -70,6 +73,9 @@ DIGESTS = {
     "ring6": "3eaad116d0e5608dfbf87d1390b33b562fdd17391e867a67f80c120a27e1d825",
     "ring7": "da735a81218fa9e99d5074e536888a531833b147a45c3ca012990ee475b8639b",
     "ring8": "ef0ace9fd2a18ee0a626c3bb19f05b500e8a4bd80ad822ebf971742e8303286c",
+    "ring10": "e2a6c40b762b8ae67ee820583503dba59f723c7b20999e0db45e275bca23d83c",
+    "ring12": "be5029a8519c947baf42e2f30611d765361279d7e1117ce417518801005fcb04",
+    "ring8-noncritical": "fa84a21265a9c05a43e6e5889b99066bf77d5b582f5b8e7966c6ed83b8d106e1",
     "swap5": "b3c6441e9598d86b2b0c209440a942bc359b02f6472b9d930bfd30a78865f4a1",
     "two-stream-critical": "f864a263ee50c8204b83245a723f8a7a00886e9088607894cb1471ef13836f7f",
     "two-stream-noncritical": "f115c7f6ca74d32000989ab1fa931bfe5066300f4484fcbd411e091ad9bf8d4c",

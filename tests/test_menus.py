@@ -1,0 +1,200 @@
+"""Per-server menus against the flat action list.
+
+Family networks store one menu of choices per server and certify from the
+menus without listing actions. Each test here compares that path with a
+flat one on the same network: the action list as the build functions
+enumerated it before menus existed (rebuilt locally), the one-server
+custom export of the network, or a loop over ``net.actions``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qstab import certify
+from qstab.certify import (
+    check_nondegeneracy_direct,
+    check_nondegeneracy_lemma,
+    certify_nonstabilizable,
+    drift_matrix,
+    null_space_basis,
+    spanning_drift_matrix,
+)
+from qstab.cli import _emit
+from qstab.netmodel import (
+    PushPullMeta,
+    ReentrantMeta,
+    RingMeta,
+    build_push_pull,
+    build_reentrant,
+    build_ring,
+    dump_spec,
+    loads_spec,
+)
+
+F = Fraction
+
+rate_st = st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=6)
+
+
+@st.composite
+def reentrant_streams(draw, critical: bool):
+    """One to three streams of two to four steps on random servers.
+
+    Stream 0 starts on server 1 then server 2, so both servers have work.
+    A critical draw gives every stream steps on both servers and sets the
+    last step of each server so the two inverse-rate sums agree.
+    """
+    streams = []
+    for i in range(draw(st.integers(1, 3))):
+        servers = [draw(st.sampled_from([1, 2])) for _ in range(draw(st.integers(2, 4)))]
+        if i == 0:
+            servers[:2] = [1, 2]
+        if critical and len(set(servers)) == 1:
+            servers[-1] = 3 - servers[-1]
+        rates = [draw(rate_st) for _ in servers]
+        if critical:
+            last = {s: max(j for j, t in enumerate(servers) if t == s) for s in (1, 2)}
+            work = {s: sum(1 / r for j, r in enumerate(rates) if servers[j] == s and j != last[s])
+                    for s in (1, 2)}
+            x = max(work[2] - work[1], F(0)) + draw(rate_st)
+            rates[last[1]] = 1 / x
+            rates[last[2]] = 1 / (x + work[1] - work[2])
+        streams.append(list(zip(servers, rates)))
+    return streams
+
+
+@st.composite
+def family_nets(draw):
+    kind = draw(st.sampled_from(["pushpull", "ring", "reentrant"]))
+    critical = draw(st.booleans())
+    if kind == "reentrant":
+        return build_reentrant(draw(reentrant_streams(critical)))
+    m = 2 if kind == "pushpull" else draw(st.integers(2, 7))
+    lam = [draw(rate_st) for _ in range(m)]
+    mu = lam if critical else [draw(rate_st) for _ in range(m)]
+    return build_push_pull(*lam, *mu) if kind == "pushpull" else build_ring(lam, mu)
+
+
+def reference_actions(net) -> list[tuple[int, str, tuple]]:
+    """(id, label, merged sorted outcomes) of each action, enumerated the flat way."""
+    meta, m = net.meta, net.n_queues
+
+    def unit(k, sign):
+        return tuple(sign if i == k else 0 for i in range(m))
+
+    def merged(outcomes):
+        acc = {}
+        for d, r in outcomes:
+            acc[d] = acc.get(d, 0) + r
+        return tuple(sorted(acc.items()))
+
+    if isinstance(meta, PushPullMeta):
+        (l1, l2), (m1, m2) = meta.push_rates, meta.pull_rates
+        table = [("(push,push)", [((1, 0), l1), ((0, 1), l2)]),
+                 ("(pull,pull)", [((-1, 0), m1), ((0, -1), m2)]),
+                 ("(push,pull)", [((1, 0), l1), ((-1, 0), m1)]),
+                 ("(pull,push)", [((0, 1), l2), ((0, -1), m2)])]
+        return [(i, label, merged(outs)) for i, (label, outs) in enumerate(table)]
+    if isinstance(meta, RingMeta):
+        out = []
+        for i, choices in enumerate(itertools.product(("push", "pull"), repeat=m)):
+            outs = [(unit(s, 1), meta.push_rates[s]) if c == "push"
+                    else (unit((s - 1) % m, -1), meta.pull_rates[(s - 1) % m])
+                    for s, c in enumerate(choices)]
+            out.append((i, "(" + ",".join(choices) + ")", merged(outs)))
+        return out
+    assert isinstance(meta, ReentrantMeta)
+
+    def step(i, j):
+        n_i, rate = meta.stream_lengths[i], meta.op_rate(i, j)
+        if j == 0:
+            return unit(meta.queue_index(i, 1), 1), rate
+        if j == n_i:
+            return unit(meta.queue_index(i, n_i), -1), rate
+        d = [0] * m
+        d[meta.queue_index(i, j)], d[meta.queue_index(i, j + 1)] = -1, 1
+        return tuple(d), rate
+
+    ops1, ops2 = meta.server_operations(1), meta.server_operations(2)
+    return [(a * len(ops2) + b, f"(({i1 + 1},{j1}),({i2 + 1},{j2}))",
+             merged([step(i1, j1), step(i2, j2)]))
+            for a, (i1, j1) in enumerate(ops1) for b, (i2, j2) in enumerate(ops2)]
+
+
+def flat_twin(net):
+    """The network's one-server custom export, carrying the family's metadata."""
+    return dataclasses.replace(loads_spec(dump_spec(net)), family=net.family, meta=net.meta)
+
+
+def certify_report(net, fmt: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(certify_nonstabilizable(net).to_json_dict(), fmt)
+    return out.getvalue()
+
+
+def loop_direct(net, *vectors) -> bool:
+    return all(any(sum(a * x for a, x in zip(v, d)) for d in act.support for v in vectors)
+               for act in net.actions)
+
+
+def loop_lemma(net, alpha) -> bool:
+    for act in net.actions:
+        for d in act.support:
+            ups = [k for k, x in enumerate(d) if x > 0]
+            downs = [k for k, x in enumerate(d) if x < 0]
+            if ups and downs:
+                if alpha[ups[0]] == alpha[downs[0]]:
+                    return False
+            elif alpha[(ups or downs)[0]] == 0:
+                return False
+    return True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family_nets())
+def test_lazy_actions_match_the_flat_enumeration(net):
+    assert net.n_actions == len(net.actions)
+    assert [(a.id, a.label, a.outcomes) for a in net.actions] == reference_actions(net)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family_nets())
+def test_menu_certificate_matches_the_flat_action_list(net):
+    twin = flat_twin(net)
+    assert len(twin.menus) == 1 and twin.n_actions == net.n_actions
+    for fmt in ("json", "text"):
+        assert certify_report(net, fmt) == certify_report(twin, fmt)
+    # The plain export has no family metadata: no criticality and no closed
+    # form, so only its alpha and "critical" may differ from the family's.
+    family = certify_nonstabilizable(net).to_json_dict()
+    exported = certify_nonstabilizable(loads_spec(dump_spec(net))).to_json_dict()
+    for key in ("verdict", "rank", "M", "L", "null_space_basis"):
+        assert exported[key] == family[key]
+    assert exported["nondegeneracy"]["direct"] == family["nondegeneracy"]["direct"]
+    assert null_space_basis(spanning_drift_matrix(net)) == null_space_basis(drift_matrix(net))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family_nets(), st.data())
+def test_nondegeneracy_checks_match_a_loop_over_actions(net, data):
+    cert = certify_nonstabilizable(net)
+    vectors = [cert.alpha] if cert.alpha is not None else []
+    vectors += list(cert.null_space_basis)
+    entry = st.integers(-2, 2)
+    vectors += [data.draw(st.lists(entry, min_size=net.n_queues, max_size=net.n_queues)
+                          .filter(any)) for _ in range(3)]
+    for alpha in vectors:
+        assert check_nondegeneracy_direct(net, alpha) == loop_direct(net, alpha)
+        assert check_nondegeneracy_lemma(net, alpha) == loop_lemma(net, alpha)
+    # several vectors at once, as in the blocked test on a null space basis
+    for pair in itertools.combinations(vectors, 2):
+        assert certify._moves_every_action(pair, net.menus) == loop_direct(net, *pair)

@@ -169,9 +169,8 @@ def test_reentrant_validation():
 def test_reentrant_queue_numbering_round_trip():
     net = build_two_stream_example()
     meta = net.meta
-    for queue in range(net.n_queues):
-        i, j = meta.locate_queue(queue)
-        assert meta.queue_index(i, j) == queue
+    queues = [meta.queue_index(i, j) for i, j in meta.operations() if j >= 1]
+    assert sorted(queues) == list(range(net.n_queues))
     assert meta.entry_queues == frozenset({0, 3})
     assert meta.exit_queues == frozenset({2, 6})
 
@@ -353,3 +352,21 @@ def test_dump_and_reload_any_family():
 def test_spec_document_rejects_unknown_top_level_type():
     with pytest.raises(SpecFileError):
         loads_spec("[1, 2, 3]")
+
+
+def test_integer_beyond_the_digit_limit_is_a_spec_error():
+    doc = ('{"family": "custom", "M": 1, "actions": [{"label": "a", "outcomes": '
+           '[{"disp": [1' + "0" * 5000 + '], "rate": "1"}]}]}')
+    with pytest.raises(SpecFileError, match="invalid JSON"):
+        loads_spec(doc)
+
+
+def test_actions_are_listed_up_to_the_limit(monkeypatch):
+    monkeypatch.setattr(netmodel, "MAX_ACTIONS", 8)
+    assert len(build_ring([1] * 3, [1] * 3).actions) == 8
+    big = build_ring([1] * 4, [1] * 4)
+    assert big.n_actions == 16
+    for listing in (lambda: big.actions, lambda: dump_spec(big),
+                    lambda: available_actions(big, (1,) * 4)):
+        with pytest.raises(ConstructionError, match="16 actions, more than the 8"):
+            listing()
