@@ -285,9 +285,15 @@ class NetworkSpec:
         return tuple(sorted(built, key=lambda act: act.id))
 
     def action(self, action_id: int) -> ActionSpec:
+        """One action, built from the choices its id names without listing the others."""
         if not 0 <= action_id < self.n_actions:
             raise ConstructionError(f"unknown action id {action_id}")
-        return self.actions[action_id]
+        index = action_id if self.ids is None else self.ids.index(action_id)
+        choices = []
+        for menu in reversed(self.menus):
+            index, k = divmod(index, len(menu))
+            choices.append(menu[k])
+        return _combine(action_id, choices[::-1])
 
     def labels(self) -> dict[str, int]:
         return {a.label: a.id for a in self.actions}

@@ -10,12 +10,16 @@ Reproducibility contract
 ------------------------
 * the seed is an integer in [0, 2**64) (larger seeds would alias smaller
   ones); the substream seed of trial t = splitmix64(seed + (t+1) *
-  golden), see :func:`substream_seed`; this mixing function is normative.
+  golden), see :func:`substream_seed`; this mixing function is normative,
+  and :func:`trial_rng` is the normative stream of trial t. The engine
+  builds those streams a batch at a time (:func:`_pcg64_states`) and
+  draws them through one reused PCG64, after checking once per process
+  that one such stream equals ``trial_rng``'s.
 * the start state's total plus max(steps, cap) stays below 2**63, so no
   queue length or total overflows the engine's int64 states.
 * one uniform variate u is consumed per step, from the trial's own stream;
   a refill draws, for each trial still running, only the uniforms the
-  next ``_CHUNK`` steps (or the rest of the steps or cap) can use, and
+  next ``_CHUNK`` (256) steps (or the rest of the steps or cap) can use, and
   since consecutive draws from a stream are prefixes of one another the
   values do not depend on how they are chunked;
 * each action's outcome is selected by cumulative-sum inversion over its
@@ -51,9 +55,11 @@ from .netmodel import (
     index_sets,
 )
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_CHUNK = 1024      # uniforms pregenerated per trial per refill
+_CHUNK = 256       # uniforms pregenerated per trial per refill
 _BATCH = 4096      # trials simulated in lockstep per batch
 
 POLICY_KINDS = ("pull-priority", "push-priority", "threshold", "custom")
@@ -74,6 +80,100 @@ def substream_seed(seed: int, trial: int) -> int:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """The PCG64 generator owned by one trial."""
     return np.random.Generator(np.random.PCG64(substream_seed(seed, trial)))
+
+
+# numpy's SeedSequence hashing (bit_generator.pyx, pool size 4) and the
+# PCG64 setseq multiplier (O'Neill 2014); numpy keeps both stable (NEP 19).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> tuple[list[int], list[int]]:
+    """The PCG64 ``(state, inc)`` of ``trial_rng(seed, t)`` for t in [start, stop).
+
+    The same three steps as ``trial_rng``, on a whole batch: splitmix64 on
+    uint64 arrays (:func:`substream_seed`), ``SeedSequence(z)
+    .generate_state(4, np.uint64)`` on uint32 arrays, and PCG64's setseq
+    initialisation on Python ints. A seed z below 2**32 has one entropy
+    word, but the pool pads it with hashmix(0), exactly like a zero high word.
+    """
+    def shift_xor(x: np.ndarray) -> np.ndarray:
+        return x ^ (x >> np.uint32(16))
+
+    z = np.uint64(seed) + np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        return shift_xor(value * np.uint32(hash_const))
+
+    low = (z & np.uint64(_MASK32)).astype(np.uint32)
+    high = (z >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = shift_xor(
+                    np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                )
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        words.append(shift_xor(value * np.uint32(hash_const)).astype(np.uint64))
+    w0, w1, w2, w3 = ((words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+    states, incs = [], []
+    for a, b, c, d in zip(w0, w1, w2, w3):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return states, incs
+
+
+class _Streams:
+    """The ``trial_rng`` streams of trials start..stop-1, drawn through ``gen``,
+    whose PCG64 takes each stream's state in turn."""
+
+    def __init__(self, gen: np.random.Generator, seed: int, start: int, stop: int):
+        self.gen = gen
+        self.bitgen = gen.bit_generator
+        self.states, self.incs = _pcg64_states(seed, start, stop)
+
+    def fill(self, rows: Sequence[int], out: np.ndarray, keep: bool) -> None:
+        """Draw ``out[i]`` from stream i for each i in ``rows``; with ``keep``,
+        the next fill of those streams continues where this one stopped."""
+        template = self.bitgen.state
+        pcg = template["state"]
+        for i in rows:
+            pcg["state"], pcg["inc"] = self.states[i], self.incs[i]
+            self.bitgen.state = template
+            self.gen.random(out=out[i])
+            if keep:
+                self.states[i] = self.bitgen.state["state"]["state"]
+
+
+@cache
+def _check_batch_seeding() -> None:
+    """Compare one batch-seeded stream with ``trial_rng`` once per process."""
+    seed, trial = _MASK64, 1 << 40
+    got = np.empty((1, 8))
+    streams = _Streams(np.random.Generator(np.random.PCG64(0)), seed, trial, trial + 1)
+    streams.fill([0], got, keep=False)
+    if not np.array_equal(got[0], trial_rng(seed, trial).random(8)):
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds PCG64 differently from the simulator's batch "
+            "seeder, so its streams would not be those of trial_rng"
+        )
 
 
 @dataclass(frozen=True)
@@ -458,7 +558,7 @@ def step(
     _check_headroom(state, 1)
     states = np.array([state], dtype=np.int64)
     a = _choose(policy, states, net.n_actions)[0]
-    table = _Tables(net, [net.actions[a]])
+    table = _Tables(net, [net.action(a)])
     k = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
     return _state(states[0] + table.disp[0, k])
 
@@ -481,19 +581,21 @@ def _run(
     final states of the rows still live at the end.
     """
     x0 = np.array(_start_state(net, cfg), dtype=np.int64)
+    _check_batch_seeding()
+    gen = np.random.Generator(np.random.PCG64(0))  # its state is replaced before every draw
     finals = []
     for start in range(0, cfg.trials, _BATCH):
         rows = slice(start, min(start + _BATCH, cfg.trials))
-        gens = [trial_rng(cfg.seed, t) for t in range(rows.start, rows.stop)]
-        chunk = np.empty((len(gens), min(_CHUNK, horizon)), dtype=np.float64)
-        live = np.arange(len(gens))
-        states = np.repeat(x0[None, :], len(gens), axis=0)
+        streams = _Streams(gen, cfg.seed, rows.start, rows.stop)
+        b = rows.stop - rows.start
+        chunk = np.empty((b, min(_CHUNK, horizon)), dtype=np.float64)
+        live = np.arange(b)
+        states = np.repeat(x0[None, :], b, axis=0)
         for s in range(horizon):
             col = s % _CHUNK
             if col == 0:
                 n = min(_CHUNK, horizon - s)
-                for i in live.tolist():
-                    chunk[i, :n] = gens[i].random(n)
+                streams.fill(live.tolist(), chunk[:, :n], keep=s + n < horizon)
             acts = _choose(policy, states, net.n_actions)
             idx = tables.sample(states, acts, chunk[live, col])
             disp = tables.disp[acts, idx]

@@ -29,14 +29,17 @@ from qstab.certify import (
 )
 from qstab.cli import _emit
 from qstab.netmodel import (
+    MAX_ACTIONS,
     PushPullMeta,
     ReentrantMeta,
     RingMeta,
     build_push_pull,
     build_reentrant,
     build_ring,
+    build_two_stream_example,
     dump_spec,
     loads_spec,
+    transition_distribution,
 )
 
 F = Fraction
@@ -198,3 +201,32 @@ def test_nondegeneracy_checks_match_a_loop_over_actions(net, data):
     # several vectors at once, as in the blocked test on a null space basis
     for pair in itertools.combinations(vectors, 2):
         assert certify._moves_every_action(pair, net.menus) == loop_direct(net, *pair)
+
+
+def test_one_action_is_the_row_of_the_action_list():
+    nets = [build_push_pull(1, 2, 3, 4), build_two_stream_example()]
+    nets += [build_ring(range(1, m + 1), range(m + 1, 1, -1)) for m in range(2, 8)]
+    for net in nets:
+        assert [net.action(k) for k in range(net.n_actions)] == list(net.actions)
+
+
+def test_one_action_beyond_the_listing_limit():
+    m = 16
+    net = build_ring(range(1, m + 1), [2] * m)
+    assert net.n_actions == 1 << m > MAX_ACTIONS
+    for k in (0, 1, 0xA5C3, (1 << m) - 1):
+        # server i pulls iff bit m-1-i of k is set (server 0 most significant)
+        pulls = [k >> (m - 1 - i) & 1 for i in range(m)]
+        expected = {}
+        for i, pull in enumerate(pulls):
+            d = [0] * m
+            if pull:
+                d[(i - 1) % m] = -1
+                expected[tuple(d)] = Fraction(2)
+            else:
+                d[i] = 1
+                expected[tuple(d)] = Fraction(i + 1)
+        total = sum(expected.values())
+        assert dict(transition_distribution(net, k)) == {
+            d: r / total for d, r in expected.items()}
+    assert "actions" not in net.__dict__

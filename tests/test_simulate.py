@@ -15,7 +15,10 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qstab import simulate
 from qstab.jsonio import render_json
 from qstab.netmodel import (
     ConstructionError,
@@ -73,6 +76,28 @@ def test_bulk_and_single_draws_agree():
     g = trial_rng(0, 0)
     singles = np.array([g.random() for _ in range(64)])
     assert np.array_equal(bulk, singles)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40 - 1), st.integers(1, 4))
+def test_batch_seeded_streams_are_the_trial_streams(seed, start, trials):
+    # Two refills: the second continues from the state read back after the first.
+    n = simulate._CHUNK + 37
+    out = np.empty((trials, n))
+    gen = np.random.Generator(np.random.PCG64(0))
+    streams = simulate._Streams(gen, seed, start, start + trials)
+    streams.fill(range(trials), out[:, : simulate._CHUNK], keep=True)
+    streams.fill(range(trials), out[:, simulate._CHUNK:], keep=False)
+    for i in range(trials):
+        assert np.array_equal(out[i], trial_rng(seed, start + i).random(n))
+
+
+def test_batch_seeding_is_checked_against_trial_rng(monkeypatch):
+    monkeypatch.setattr(simulate, "_MIX_MULT_L", simulate._MIX_MULT_L ^ 1)
+    monkeypatch.setattr(simulate, "_check_batch_seeding", simulate._check_batch_seeding.__wrapped__)
+    net = critical_pp()
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64 differently"):
+        run_trajectories(net, make_policy(net, "pull-priority"), SimConfig(trials=2, steps=3))
 
 
 # ---------------------------------------------------------------------------
