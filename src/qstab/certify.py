@@ -74,11 +74,6 @@ class DriftMatrix:
     def n_queues(self) -> int:
         return len(self.numerators[0]) if self.numerators else 0
 
-    @property
-    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each row scaled by its positive scale: the same rank and null space as D."""
-        return self.numerators
-
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The exact entries as Fractions, built on first use."""
@@ -386,9 +381,9 @@ def family_alpha(net: NetworkSpec) -> tuple[Fraction, ...] | None:
 
 
 def _assert_harmonic(d: DriftMatrix, alpha: Sequence[Fraction]) -> tuple[int, ...]:
-    """The canonical integer form of closed-form weights, checked against integer rows of D."""
+    """The canonical integer form of closed-form weights, checked against the numerators of D."""
     vec = exactla.normalize_integer_vector(alpha)
-    if not all(sum(r * a for r, a in zip(row, vec) if r) == 0 for row in d.integer_rows):
+    if not all(sum(r * a for r, a in zip(row, vec) if r) == 0 for row in d.numerators):
         raise ArithmeticError("internal error: closed-form weights are not harmonic")
     return vec
 

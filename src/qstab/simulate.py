@@ -44,11 +44,10 @@ import numpy as np
 
 from .netmodel import (
     ActionSpec,
+    Choice,
     ConstructionError,
     NetworkSpec,
-    PushPullMeta,
     ReentrantMeta,
-    RingMeta,
     State,
     check_state,
     format_rational,
@@ -306,11 +305,6 @@ def _unknown_id(a, row: np.ndarray) -> PolicyError:
     return PolicyError(f"policy produced an unknown action id {a!r} at state {_state(row)}")
 
 
-def _batch_policy(kind: str, choose_batch: Callable[[np.ndarray], np.ndarray]) -> Policy:
-    """A built-in policy; its ``resolve`` is ``choose_batch`` on a batch of one."""
-    return Policy(kind, lambda z: int(choose_batch(np.array([z], dtype=np.int64))[0]), choose_batch)
-
-
 def _row_policy(resolve: Callable[[State], int], n_actions: int) -> Policy:
     """A custom policy: ``resolve`` runs on each row in row order.
 
@@ -328,78 +322,82 @@ def _row_policy(resolve: Callable[[State], int], n_actions: int) -> Policy:
     return Policy("custom", resolve, choose_batch)
 
 
-def _constant_policy(kind: str, action_id: int) -> Policy:
-    return _batch_policy(kind, lambda states: np.full(len(states), action_id, dtype=np.int64))
+def _drained(choice: Choice) -> int | None:
+    """The queue a built-in choice drains, or None for a push or supply step."""
+    return next((d.index(-1) for d, _ in choice.outcomes if -1 in d), None)
 
 
-def _choice_ids(net: NetworkSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """(B x m) pull bits -> action ids, for pushpull/ring."""
-    if isinstance(net.meta, PushPullMeta):
-        lut = np.array([0, 2, 3, 1], dtype=np.int64)  # index = 2*pull1 + pull2
-        return lambda bits: lut[2 * bits[:, 0] + bits[:, 1]]
-    m = net.n_queues
-    powers = np.array([1 << (m - 1 - i) for i in range(m)], dtype=np.int64)
-    return lambda bits: bits.astype(np.int64) @ powers
-
-
-def _threshold_policy(net: NetworkSpec, kind: str, cutoff: int) -> Policy:
-    # Server i pulls the queue of stream i-1, cyclically; for the push-pull
-    # pair (m == 2) this is exactly "server 1 pulls queue 2 and vice versa".
-    pull_q = (np.arange(net.n_queues) - 1) % net.n_queues
-    choice_ids = _choice_ids(net)
-    return _batch_policy(kind, lambda states: choice_ids(states[:, pull_q] > cutoff))
-
-
-def _push_priority_policy(net: NetworkSpec) -> Policy:
-    if isinstance(net.meta, (PushPullMeta, RingMeta)):
-        return _constant_policy("push-priority", 0)  # first action in both enumerations
-    assert isinstance(net.meta, ReentrantMeta)
-    meta = net.meta
-    ops1 = meta.server_operations(1)
-    ops2 = meta.server_operations(2)
-    picks = []
-    for server, ops in ((1, ops1), (2, ops2)):
-        starts = [op for op in ops if op[1] == 0]
-        if not starts:
+def _priority_orders(net: NetworkSpec, kind: str) -> list[list[int]]:
+    """Each server's menu positions in the priority order of a built-in kind."""
+    if kind == "push-priority":
+        orders = [[k for k, c in enumerate(menu) if _drained(c) is None][:1] for menu in net.menus]
+        if [] in orders:
             raise ConstructionError(
-                f"push-priority is unsupported here: server {server} has no supply step"
+                f"push-priority is unsupported here: server {orders.index([]) + 1} has no supply step"
             )
-        picks.append(ops.index(starts[0]))
-    return _constant_policy("push-priority", picks[0] * len(ops2) + picks[1])
+        return orders
+    if isinstance(net.meta, ReentrantMeta):
+        # Last buffer first served: the deepest step wins, ties broken by stream order.
+        return [
+            sorted(range(len(ops)), key=lambda k: (-ops[k][1], ops[k][0]))
+            for ops in map(net.meta.server_operations, (1, 2))
+        ]
+    return [[1, 0]] * len(net.menus)  # pull, else push
 
 
-def _reentrant_pull_priority(net: NetworkSpec) -> Policy:
-    """Last-buffer-first-served per server: the available step with the
-    largest index wins, ties broken by stream order."""
-    meta = net.meta
-    assert isinstance(meta, ReentrantMeta)
-    servers = []  # per server, in priority order: position in its ops, supply step?, queue
-    for server in (1, 2):
-        ops = meta.server_operations(server)
-        order = sorted(ops, key=lambda ij: (-ij[1], ij[0]))
-        servers.append((
-            np.array([ops.index(op) for op in order], dtype=np.int64),
-            np.array([j == 0 for _, j in order]),
-            np.array([meta.queue_index(i, j) if j else 0 for i, j in order], dtype=np.int64),
-        ))
-    width = len(meta.server_operations(2))
+def _priority_policy(
+    net: NetworkSpec, kind: str, orders: Sequence[Sequence[int]], cutoff: int
+) -> Policy:
+    """Every server takes the first menu position of its list in ``orders``
+    whose choice qualifies: its drained queue holds more than ``cutoff``
+    jobs, or it drains nothing.
+
+    Write w_k for the mixed-radix weight of a server's k-th position, cut
+    the list after its first always-qualifying entry, and end a list that
+    can run out with w = -n_actions. The pick then weighs
+    w_0 + sum_k [no position <= k qualifies] * (w_{k+1} - w_k): per rank,
+    one gather, one compare and one float64 mat-vec over all servers. Every
+    partial sum is an integer of magnitude below 2**53, so the sums are
+    exact, and a negative one marks a row where some server starves.
+    """
+    cutoff = min(cutoff, 2**63 - 1)  # the headroom check keeps every queue below 2**63
+    radix, base, drains, steps = net.n_actions, 0, [], []
+    for menu, order in zip(net.menus, orders):
+        radix //= len(menu)
+        queues = [_drained(menu[k]) for k in order]
+        if None in queues:
+            weights = [k * radix for k in order[: queues.index(None) + 1]]
+        else:
+            weights = [k * radix for k in order] + [-net.n_actions]
+        base += weights[0]
+        drains.append(queues)
+        steps.append(np.diff(weights))
+    ranks = [  # per rank, each server's tested queue and weight step, 0 past its list
+        (np.array([q[r] if r < len(d) else 0 for q, d in zip(drains, steps)], dtype=np.int64),
+         np.array([d[r] if r < len(d) else 0 for d in steps], dtype=np.float64))
+        for r in range(max(map(len, steps)))
+    ]
+    starvable = any(None not in queues for queues in drains)
+    lut = None if net.ids is None else np.array(net.ids, dtype=np.int64)
 
     def choose_batch(states: np.ndarray) -> np.ndarray:
-        picks, starved = [], []
-        for positions, supply, queues in servers:
-            avail = supply | (states[:, queues] >= 1)
-            picks.append(positions[avail.argmax(axis=1)])
-            starved.append(~avail.any(axis=1))
-        bad = starved[0] | starved[1]
-        if bad.any():
-            row = int(bad.argmax())
-            server = 1 if starved[0][row] else 2
-            raise PolicyError(
-                f"server {server} has no available operation at state {_state(states[row])}"
+        total = np.full(len(states), float(base))
+        waiting = None
+        for col, delta in ranks:
+            test = states[:, col] <= cutoff
+            waiting = test if waiting is None else waiting & test
+            total += waiting.astype(np.float64) @ delta
+        ids = total.astype(np.int64)
+        if starvable and (ids < 0).any():
+            z = _state(states[np.argmax(ids < 0)])
+            server = next(
+                s for s, queues in enumerate(drains, 1)
+                if all(q is not None and z[q] <= cutoff for q in queues)
             )
-        return picks[0] * width + picks[1]
+            raise PolicyError(f"server {server} has no available operation at state {z}")
+        return ids if lut is None else lut.take(ids)
 
-    return _batch_policy("pull-priority", choose_batch)
+    return Policy(kind, lambda z: int(choose_batch(np.array([z], dtype=np.int64))[0]), choose_batch)
 
 
 def make_policy(
@@ -413,16 +411,23 @@ def make_policy(
 ) -> Policy:
     """Build one of the supported policies for this network.
 
+    Every built-in kind gives each server a priority list of its menu
+    choices and takes the first whose drained queue holds more than a
+    cutoff; a choice that drains nothing (a push or supply step) always
+    qualifies.
+
     pull-priority
-        Each server pulls whenever its pull queue is nonempty, else
-        pushes. On re-entrant networks this is last-buffer-first-served
-        per server.
+        Lists [pull, push], cutoff 0: each server pulls whenever its pull
+        queue is nonempty, else pushes. On re-entrant networks each list
+        holds the server's steps by (-step, stream), cutoff 0: last buffer
+        first served, raising PolicyError where a server without a supply
+        step has nothing to serve.
     push-priority
-        Every server always pushes (re-entrant networks must give every
-        server a supply step).
+        Lists [the first choice that drains nothing]: every server always
+        pushes (re-entrant networks must give every server a supply step).
     threshold
-        Each server pulls iff its pull queue exceeds ``threshold``
-        (push-pull and ring families only).
+        Lists [pull, push], cutoff ``threshold``: each server pulls iff
+        its pull queue exceeds it (push-pull and ring families only).
     custom
         An explicit finite ``table`` of state -> action id with a
         ``default`` id, or an arbitrary ``resolver`` callable, called
@@ -450,23 +455,17 @@ def make_policy(
             return a
 
         return _row_policy(resolve, n_actions)
-    if isinstance(net.meta, (PushPullMeta, RingMeta)):
-        if kind == "pull-priority":
-            return _threshold_policy(net, kind, 0)
-        if kind == "threshold":
-            if threshold is None or threshold < 0:
-                raise ConstructionError("threshold policies need a nonnegative cutoff")
-            return _threshold_policy(net, kind, threshold)
-        return _push_priority_policy(net)
-    if isinstance(net.meta, ReentrantMeta):
-        if kind == "pull-priority":
-            return _reentrant_pull_priority(net)
-        if kind == "push-priority":
-            return _push_priority_policy(net)
-        raise ConstructionError(f"policy kind {kind!r} is unsupported for re-entrant networks")
-    raise ConstructionError(
-        f"policy kind {kind!r} is unsupported for custom networks; provide a custom resolver"
-    )
+    if net.meta is None:
+        raise ConstructionError(
+            f"policy kind {kind!r} is unsupported for custom networks; provide a custom resolver"
+        )
+    if kind == "threshold":
+        if isinstance(net.meta, ReentrantMeta):
+            raise ConstructionError(f"policy kind {kind!r} is unsupported for re-entrant networks")
+        if threshold is None or threshold < 0:
+            raise ConstructionError("threshold policies need a nonnegative cutoff")
+    cutoff = threshold if kind == "threshold" else 0
+    return _priority_policy(net, kind, _priority_orders(net, kind), cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,18 @@ def test_policy_parsing(spec_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec,x0", [("pp-critical.json", "3,3"), ("ring4.json", "3,3,3,3")])
+def test_threshold_beyond_int64_always_pushes(spec_dir, capsys, spec, x0):
+    # No queue reaches 2**63, so a larger cutoff never lets a server pull.
+    args = [spec_dir[spec], "--trials", "40", "--steps", "30", "--x0", x0, "--format", "json"]
+    assert run(["simulate", *args, "--policy", "push-priority"]) == EXIT_OK
+    pushes = capsys.readouterr().out
+    assert run(["simulate", *args, "--policy", "threshold:99999999999999999999"]) == EXIT_OK
+    assert capsys.readouterr().out == pushes
+    assert run(["simulate", *args, "--policy", "threshold:2"]) == EXIT_OK
+    assert capsys.readouterr().out != pushes
+
+
 def test_diagnostics_and_exit_codes(spec_dir, capsys, tmp_path):
     write = spec_dir["write"]
     missing = str(tmp_path / "missing.json")

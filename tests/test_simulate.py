@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from qstab import simulate
 from qstab.jsonio import render_json
 from qstab.netmodel import (
+    MAX_ACTIONS,
     ConstructionError,
     ReentrantMeta,
     build_custom,
@@ -192,12 +193,25 @@ def _three_stream():
     ])
 
 
+def _ring5():
+    return build_ring([1] * 5, [1] * 5)
+
+
 @pytest.mark.parametrize("build,kind,cutoff,top", [
     (build_two_stream_example, "pull-priority", 0, 2),
     (_three_stream, "pull-priority", 0, 2),
     (critical_pp, "threshold", 2, 4),
-    (lambda: build_ring([1] * 5, [1] * 5), "pull-priority", 0, 2),
-], ids=["two-stream", "three-stream", "push-pull threshold", "ring-5"])
+    (_ring5, "pull-priority", 0, 2),
+    (critical_pp, "pull-priority", 0, 4),
+    (critical_pp, "push-priority", 0, 4),
+    (_ring5, "push-priority", 0, 2),
+    (build_two_stream_example, "push-priority", 0, 2),
+    (_three_stream, "push-priority", 0, 2),
+], ids=[
+    "two-stream", "three-stream", "push-pull threshold", "ring-5", "push-pull",
+    "push-pull push-priority", "ring-5 push-priority", "two-stream push-priority",
+    "three-stream push-priority",
+])
 def test_choose_batch_matches_scalar_reference(build, kind, cutoff, top):
     # Every state in {0..top}^M, as one batch against the scalar reference.
     net = build()
@@ -208,6 +222,20 @@ def test_choose_batch_matches_scalar_reference(build, kind, cutoff, top):
     assert got.dtype == np.int64
     assert got.tolist() == [ref(z) for z in states]
     assert [pol.resolve(z) for z in states[::37]] == got[::37].tolist()
+
+
+@pytest.mark.parametrize("kind,cutoff", [("pull-priority", 0), ("threshold", 1)])
+def test_choose_batch_matches_scalar_reference_at_the_action_limit(kind, cutoff):
+    # Ring-14 has exactly MAX_ACTIONS actions, so ids reach 16383.
+    net = build_ring([1] * 14, [1] * 14)
+    assert net.n_actions == MAX_ACTIONS
+    pol = make_policy(net, kind, threshold=cutoff if kind == "threshold" else None)
+    ref = reference_resolver(net, kind, cutoff)
+    corners = np.array([[0] * 14, [2] * 14])  # all push (id 0) and all pull (the last id)
+    states = np.vstack([np.random.default_rng(14).integers(0, 3, size=(3000, 14)), corners])
+    got = pol.choose_batch(states)
+    assert got.tolist() == [ref(z) for z in map(tuple, states.tolist())]
+    assert got[-2:].tolist() == [0, MAX_ACTIONS - 1]
 
 
 BUILT_IN = [
@@ -450,10 +478,21 @@ def reference_resolver(net, kind, cutoff=0):
     networks server i pulls iff queue i-1 (cyclically) exceeds the cutoff.
     On re-entrant networks each server serves its last buffer first: the
     available step with the largest index wins, ties broken by stream order,
-    and a supply step (step 0) is always available.
+    and a supply step (step 0) is always available. Push-priority takes
+    every server's push, or its first supply step.
     """
     by_label = {a.label: a.id for a in net.actions}
     meta = net.meta
+    if kind == "push-priority":
+        if isinstance(meta, ReentrantMeta):
+            supply = [
+                next(f"({i + 1},{j})" for i, j in meta.server_operations(server) if j == 0)
+                for server in (1, 2)
+            ]
+            label = f"({supply[0]},{supply[1]})"
+        else:
+            label = "(" + ",".join(["push"] * net.n_queues) + ")"
+        return lambda z: by_label[label]
     if kind in ("pull-priority", "threshold") and not isinstance(meta, ReentrantMeta):
         m = net.n_queues
 
