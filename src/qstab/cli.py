@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import certify as certify_mod
@@ -28,9 +29,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A002 - argparse API
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # argparse calls it only after printing --help
+        raise _HelpShown
 
 
 def _parse_x0(text: str) -> tuple[int, ...]:
@@ -58,7 +66,13 @@ def _parse_policy(net, text: str):
     )
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing leaves it unchanged: each call gets a fresh namespace, and the
+    help width is read when help is printed.
+    """
     parser = _Parser(prog="qstab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
@@ -179,10 +193,15 @@ def _dispatch(ns) -> int:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv, execute one verb, and return the process exit code."""
-    parser = build_parser()
+    """Parse argv, execute one verb, and return the process exit code.
+
+    ``--help`` prints the help to stdout and returns EXIT_OK. Safe to call
+    repeatedly in one process.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
+    except _HelpShown:
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -271,15 +271,20 @@ class NetworkSpec:
     def n_actions(self) -> int:
         return prod(len(menu) for menu in self.menus)
 
-    @cached_property
-    def actions(self) -> tuple[ActionSpec, ...]:
-        """Every action in id order, built on first use."""
+    def listable_actions(self) -> int:
+        """The number of actions, or ConstructionError if it is above ``MAX_ACTIONS``."""
         n = self.n_actions
         if n > MAX_ACTIONS:
             raise ConstructionError(
                 f"the network has {n} actions, more than the {MAX_ACTIONS} that drift "
                 "matrices, simulation and export can list; certify and alpha take any size"
             )
+        return n
+
+    @cached_property
+    def actions(self) -> tuple[ActionSpec, ...]:
+        """Every action in id order, built on first use."""
+        n = self.listable_actions()
         ids = range(n) if self.ids is None else self.ids
         built = [_combine(i, choices) for i, choices in zip(ids, itertools.product(*self.menus))]
         return tuple(sorted(built, key=lambda act: act.id))

@@ -25,9 +25,9 @@ Reproducibility contract
 * each action's outcome is selected by cumulative-sum inversion over its
   outcomes in lexicographic displacement order (the storage order of
   :class:`~qstab.netmodel.ActionSpec`), with probabilities converted from
-  exact rationals to floats once per run: the outcome is the number of
-  cumulative sums <= u, clamped to the last outcome, so a u at or above a
-  float cumsum that rounds below 1 picks the last outcome.
+  exact rationals to their nearest floats once per run: the outcome is the
+  number of cumulative sums <= u, clamped to the last outcome, so a u at
+  or above a float cumsum that rounds below 1 picks the last outcome.
 
 Identical (network, policy, config) therefore yield bit-identical reports.
 """
@@ -52,6 +52,7 @@ from .netmodel import (
     check_state,
     format_rational,
     index_sets,
+    integer_weights,
 )
 
 _MASK32 = (1 << 32) - 1
@@ -440,7 +441,7 @@ def make_policy(
     if kind not in POLICY_KINDS:
         raise ConstructionError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
     # A policy picks rows of the action list, so a network too large to list has none.
-    n_actions = len(net.actions)
+    n_actions = net.listable_actions()
     if kind == "custom":
         if resolver is not None:
             return _row_policy(resolver, n_actions)
@@ -480,6 +481,12 @@ class _Tables:
     holds the displacements, ``drain`` the queues that must be nonempty,
     and ``incs`` (given alpha) each outcome's exact increment of alpha'X as
     a float.
+
+    Each probability is w_k / W in Python ints, where
+    ``netmodel.integer_weights`` gives the outcome rates as integers w_k
+    and W is their sum. Integer division is correctly rounded, so this is
+    the float nearest rate / total_rate. The cumulative sums are taken
+    left to right along each row.
     """
 
     def __init__(
@@ -489,24 +496,30 @@ class _Tables:
         alpha: Sequence[Fraction] | None = None,
     ):
         self.actions = net.actions if actions is None else actions
-        rows = len(self.actions)
-        width = max(len(act.outcomes) for act in self.actions)
-        self.cum = np.full((rows, width), np.inf)
+        probs, disps = [], []
+        for act in self.actions:
+            weights, _ = integer_weights(rate for _, rate in act.outcomes)
+            total = sum(weights)
+            probs += [w / total for w in weights]
+            disps += [d for d, _ in act.outcomes]
+        counts = np.array([len(act.outcomes) for act in self.actions])
+        rows, width = len(counts), int(counts.max())
+        # (row, column) of every outcome in the flat lists
+        r = np.repeat(np.arange(rows), counts)
+        c = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+        p = np.zeros((rows, width))
+        p[r, c] = probs
+        self.cum = np.cumsum(p, axis=1)
+        self.cum[np.arange(width) >= counts[:, None] - 1] = np.inf
         self.disp = np.zeros((rows, width, net.n_queues), dtype=np.int64)
-        self.drain = np.zeros((rows, net.n_queues), dtype=bool)
-        self.incs = None if alpha is None else np.zeros((rows, width))
-        # actions share few displacements, so each exact increment is computed once
-        increment = cache(lambda d: float(sum((a * x for a, x in zip(alpha, d)), Fraction(0))))
-        for r, act in enumerate(self.actions):
-            k = len(act.outcomes)
-            probs = np.array(
-                [float(rate / act.total_rate) for _, rate in act.outcomes], dtype=np.float64
-            )
-            self.cum[r, : k - 1] = np.cumsum(probs)[: k - 1]
-            self.disp[r, :k] = [d for d, _ in act.outcomes]
-            self.drain[r, sorted(act.drains)] = True
-            if self.incs is not None:
-                self.incs[r, :k] = [increment(d) for d, _ in act.outcomes]
+        self.disp[r, c] = disps
+        self.drain = (self.disp == -1).any(axis=1)
+        self.incs = None
+        if alpha is not None:
+            # actions share few displacements, so each exact increment is computed once
+            increment = cache(lambda d: float(sum((a * x for a, x in zip(alpha, d)), Fraction(0))))
+            self.incs = np.zeros((rows, width))
+            self.incs[r, c] = [increment(d) for d in disps]
 
     def sample(self, states: np.ndarray, acts: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Outcome index of each row, given its table row in ``acts`` and its uniform in ``u``.
@@ -523,7 +536,11 @@ class _Tables:
             raise PolicyError(
                 f"action {act.label!r} (id {act.id}) is not available at state {state}"
             )
-        return (self.cum[acts] <= u[:, None]).sum(axis=1)
+        cum = self.cum[acts]
+        idx = np.zeros(len(acts), dtype=np.int64)
+        for col in cum.T[:-1]:  # the last column is +inf in every row
+            idx += col <= u
+        return idx
 
 
 def _state(row: np.ndarray) -> State:

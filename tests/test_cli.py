@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from qstab.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, run
+from qstab import cli
+from qstab.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, build_parser, run
 from qstab.netmodel import build_push_pull, dump_spec
 
 
@@ -243,3 +244,71 @@ def test_verbs_that_list_actions_refuse_huge_networks(spec_dir, capsys, verb, m)
     assert captured.out == ""
     assert f"the network has {2**m} actions" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: qstab "), (["certify", "--help"], "usage: qstab certify "),
+], ids=["top", "verb"])
+def test_help_returns_exit_ok(capsys, monkeypatch, argv, usage):
+    assert run(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.err == ""
+    monkeypatch.setattr("sys.argv", ["qstab", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == captured.out
+
+
+def _fresh_out(argv, capsys) -> tuple[int, str]:
+    build_parser.cache_clear()
+    rc = run(argv)
+    return rc, capsys.readouterr().out
+
+
+def test_cached_parser_keeps_no_state_between_calls(spec_dir, capsys):
+    pp = spec_dir["pp-critical.json"]
+    assert run(["simulate", pp, "--x0", "1,0", "--trials", "7", "--steps", "20"]) == EXIT_OK
+    assert "trials: 7" in capsys.readouterr().out
+    assert run(["simulate", pp, "--trials", "seven"]) == EXIT_ERROR
+    assert capsys.readouterr().out == ""
+    plain = ["simulate", pp, "--steps", "20", "--format", "json"]
+    assert run(plain) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["trials"] == 10_000
+    assert _fresh_out(plain, capsys) == (EXIT_OK, out)
+
+
+def test_cached_parser_alternates_verbs(spec_dir, capsys):
+    pp, ring4 = spec_dir["pp-critical.json"], spec_dir["ring4.json"]
+    sim = ["--trials", "50", "--steps", "30"]
+    calls = [
+        ["certify", pp], ["martingale", pp, *sim], ["drift", ring4, "--format", "json"],
+        ["martingale", pp, *sim, "--alpha", "2,-2"], ["certify", ring4, "--format", "json"],
+        ["martingale", pp, *sim], ["drift", pp],
+    ]
+    cached = []
+    for argv in calls:
+        rc = run(argv)
+        cached.append((rc, capsys.readouterr().out))
+    assert [_fresh_out(argv, capsys) for argv in calls] == cached
+    assert all(rc == EXIT_OK for rc, _ in cached)
+
+
+def test_parser_is_built_once_per_process(spec_dir, capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    build_parser.cache_clear()
+    pp = spec_dir["pp-critical.json"]
+    for argv in [["certify", pp], ["drift", pp], ["--help"], ["alpha", pp], ["certify", "--help"],
+                 ["simulate", pp, "--trials", "3", "--steps", "3"], ["bogus"], ["certify", pp],
+                 ["drift"], ["blowup", pp, "--trials", "3", "--steps", "3"]]:
+        run(argv)
+    capsys.readouterr()
+    assert len(built) == 8  # the top parser and one per verb

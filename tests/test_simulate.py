@@ -47,6 +47,7 @@ from qstab.simulate import (
     substream_seed,
     trial_rng,
 )
+from test_certify import nets_with_repeated_outcomes
 
 F = Fraction
 
@@ -238,6 +239,13 @@ def test_choose_batch_matches_scalar_reference_at_the_action_limit(kind, cutoff)
     assert got[-2:].tolist() == [0, MAX_ACTIONS - 1]
 
 
+def test_policy_and_step_at_the_action_limit_build_no_action_list():
+    net = build_ring([1] * 14, [1] * 14)
+    pol = make_policy(net, "pull-priority")
+    assert len(step(net, pol, (1,) + (0,) * 13, np.random.default_rng(0))) == 14
+    assert "actions" not in net.__dict__
+
+
 BUILT_IN = [
     (critical_pp, "pull-priority"), (critical_pp, "push-priority"), (critical_pp, "threshold"),
     (_ring8, "pull-priority"), (_ring8, "push-priority"), (_ring8, "threshold"),
@@ -412,6 +420,68 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     rows = len(cases)
     picked = tables.sample(np.zeros((rows, 10), dtype=np.int64), np.zeros(rows, dtype=np.int64), us)
     assert picked.tolist() == [k for _, k in cases]
+
+
+def _reference_tables(net, alpha):
+    """The sampling tables built one action at a time, probabilities as
+    floats of the exact rationals."""
+    actions = net.actions
+    rows, width = len(actions), max(len(act.outcomes) for act in actions)
+    cum = np.full((rows, width), np.inf)
+    disp = np.zeros((rows, width, net.n_queues), dtype=np.int64)
+    drain = np.zeros((rows, net.n_queues), dtype=bool)
+    incs = np.zeros((rows, width))
+    for r, act in enumerate(actions):
+        k = len(act.outcomes)
+        probs = np.array([float(rate / act.total_rate) for _, rate in act.outcomes])
+        cum[r, : k - 1] = np.cumsum(probs)[: k - 1]
+        disp[r, :k] = [d for d, _ in act.outcomes]
+        drain[r, sorted(act.drains)] = True
+        incs[r, :k] = [float(sum((a * x for a, x in zip(alpha, d)), F(0))) for d, _ in act.outcomes]
+    return {"cum": cum, "disp": disp, "drain": drain, "incs": incs}
+
+
+def _assert_tables_match_reference(net):
+    from qstab.simulate import _Tables
+
+    alpha = [F((-1) ** k * (k + 1), 3) for k in range(net.n_queues)]
+    tables = _Tables(net, alpha=alpha)
+    for name, want in _reference_tables(net, alpha).items():
+        got = getattr(tables, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    plain = _Tables(net)
+    assert plain.incs is None and plain.cum.tobytes() == tables.cum.tobytes()
+
+
+def _merging_net():
+    # Outcomes repeat within each action, so rates merge before sampling.
+    return build_custom(2, [
+        ("merge", [((1, 0), 1), ((0, -1), "1/3"), ((1, 0), "2/7"), ((0, -1), 5)]),
+        ("move", [((1, -1), "3/4"), ((-1, 1), "3/4"), ((1, -1), "1/9")]),
+        ("one", [((0, 1), 2), ((0, 1), 2)]),
+    ])
+
+
+def _clamp_net():
+    units = [tuple(int(i == j) for j in range(10)) for i in range(10)]
+    return build_custom(10, [("spread", [(d, F(1, 10)) for d in units]),
+                             ("wide", [(d, 1) for d in units + [(1, -1) + (0,) * 8]])])
+
+
+@pytest.mark.parametrize("build", [
+    critical_pp, lambda: build_push_pull(1, 2, 3, 4), lambda: build_ring([1] * 8, [1] * 8),
+    _ring8, build_two_stream_example, _merging_net, _clamp_net,
+], ids=["pushpull", "pushpull-rates", "ring8-unit", "ring8", "two-stream", "merging", "clamp"])
+def test_tables_match_the_per_action_reference(build):
+    _assert_tables_match_reference(build())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nets_with_repeated_outcomes())
+def test_tables_match_the_per_action_reference_on_custom_nets(spec):
+    m, actions = spec
+    _assert_tables_match_reference(build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)]))
 
 
 def test_unavailable_action_error_names_smallest_id_and_its_first_row():
