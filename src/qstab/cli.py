@@ -210,6 +210,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (SpecFileError, ConstructionError, PolicyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def main() -> None:

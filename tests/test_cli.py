@@ -193,6 +193,17 @@ def test_seed_at_or_above_2_64_is_an_error(spec_dir, capsys):
     assert "seed must be an integer in [0, 2**64)" in captured.err
 
 
+@pytest.mark.parametrize("verb", ["martingale", "blowup"])
+def test_too_many_trials_for_memory_is_an_error(spec_dir, capsys, verb):
+    # One float per trial is 8 PB here, beyond any 64-bit address space,
+    # so the allocation fails at once and nothing is ever simulated.
+    args = ["--trials", "1000000000000000", "--steps", "5", "--format", "json"]
+    assert run([verb, spec_dir["pp-critical.json"], *args]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("extra", [
     ["--x0", "99999999999999999999,0"],
     ["--policy", "push-priority", "--x0", f"{2**63 - 1},{2**63 - 1}"],

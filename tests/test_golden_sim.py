@@ -41,6 +41,14 @@ CASES = {
         RING8, ["blowup", "--trials", "300", "--steps", "300", "--seed", str(2**64 - 1)]),
     "two-stream-simulate": (
         TWO_STREAM, ["simulate", "--trials", "300", "--steps", "400", "--seed", "0"]),
+    # ring rows are 8 outcomes wide; martingale looks up each outcome's
+    # increment and marks it used for max_abs_increment
+    "ring8-martingale-pull-priority": (
+        RING8, ["martingale", "--trials", "300", "--steps", "300", "--seed", "7",
+                "--policy", "pull-priority", "--alpha", "1,-2,3/2,4,-5,6,7/3,-8"]),
+    "two-stream-martingale-push-priority": (
+        TWO_STREAM, ["martingale", "--trials", "300", "--steps", "300", "--seed", str(2**64 - 1),
+                      "--policy", "push-priority"]),
     # 4100 trials take two lockstep batches
     "pushpull-simulate-two-batches": (
         PUSHPULL, ["simulate", "--trials", "4100", "--steps", "40", "--seed", "0",
@@ -54,6 +62,8 @@ DIGESTS = {
     "pushpull-return-time-seed4294967296": "f3d29673260a184e896a7d23f3ba939747faa1522a1ab4bacecc3383445b28d9",
     "pushpull-simulate-two-batches": "df3d86be4efd12c6588b9573412d6b1bca89135125ade230dd8c8bef450aa3bf",
     "ring8-blowup": "70b5e621421aa07b2f56573fd2119041037e7d93a95e02caea1b44e7730f97c9",
+    "ring8-martingale-pull-priority": "33f57a04f54faf3712faa62ff81fd5e614fc527dfd9165b1880850824625f893",
+    "two-stream-martingale-push-priority": "a4ec16e3680c19dadf4fd8a44c999571ee9a4fcb63da6d95fdaf87b4d4f5f071",
     "two-stream-simulate": "166f22b2a23b653e8da2e2f6d508d87a58a7a6ee14a46d903f4cd23d80919628",
 }
 

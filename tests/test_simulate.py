@@ -415,7 +415,7 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     for u, k in cases:
         assert step(net, pol, origin, FixedUniform(u)) == outcomes[k][0]
     tables = _Tables(net)
-    assert tables.cum.shape[1] == 11
+    assert tables.width == 11
     us = np.array([u for u, _ in cases])
     rows = len(cases)
     picked = tables.sample(np.zeros((rows, 10), dtype=np.int64), np.zeros(rows, dtype=np.int64), us)
@@ -441,17 +441,59 @@ def _reference_tables(net, alpha):
     return {"cum": cum, "disp": disp, "drain": drain, "incs": incs}
 
 
+def _table_views(tables):
+    """The flat-id tables in the reference's (row, outcome, ...) shapes;
+    the last cumulative column, +inf in every row, is not stored."""
+    rows, width = len(tables.drain), tables.width
+    assert tables.cum.shape == (width - 1, rows) and tables.cum.flags.c_contiguous
+    assert tables.disp.shape == (rows * width, tables.drain.shape[1])
+    views = {
+        "cum": np.column_stack([*tables.cum, np.full(rows, np.inf)]),
+        "disp": tables.disp.reshape(rows, width, -1),
+        "drain": tables.drain,
+    }
+    if tables.incs is not None:
+        assert tables.incs.shape == (rows * width,)
+        views["incs"] = tables.incs.reshape(rows, width)
+    return views
+
+
 def _assert_tables_match_reference(net):
     from qstab.simulate import _Tables
 
     alpha = [F((-1) ** k * (k + 1), 3) for k in range(net.n_queues)]
     tables = _Tables(net, alpha=alpha)
+    views = _table_views(tables)
     for name, want in _reference_tables(net, alpha).items():
-        got = getattr(tables, name)
+        got = views[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     plain = _Tables(net)
     assert plain.incs is None and plain.cum.tobytes() == tables.cum.tobytes()
+
+
+def _assert_flat_ids_match_reference(net):
+    """``_Tables.sample`` returns row * width + the outcome that
+    cumulative-sum inversion picks, clamped to the row's last outcome."""
+    from qstab.simulate import _Tables
+
+    actions = net.actions
+    width = max(len(act.outcomes) for act in actions)
+    cums = [np.cumsum([float(rate / act.total_rate) for _, rate in act.outcomes]) for act in actions]
+    # every cumulative sum, the float just below it, both ends and some interior points
+    us = np.concatenate([*cums, *(np.nextafter(c, 0.0) for c in cums),
+                         [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20)])
+    us = np.unique(us[us < 1.0])
+    rows = np.repeat(np.arange(len(actions)), len(us))
+    u = np.tile(us, len(actions))
+    want = [r * width + min(int(np.searchsorted(cums[r], x, "right")), len(actions[r].outcomes) - 1)
+            for r, x in zip(rows.tolist(), u.tolist())]
+    tables = _Tables(net)
+    states = np.ones((len(rows), net.n_queues), dtype=np.int64)  # every action is available
+    flat = tables.sample(states, rows, u)
+    assert flat.dtype == np.int64 and flat.tolist() == want
+    disps = [actions[f // width].outcomes[f % width][0] for f in want]
+    assert tables.disp.take(flat, axis=0).tolist() == [list(d) for d in disps]
 
 
 def _merging_net():
@@ -482,6 +524,17 @@ def test_tables_match_the_per_action_reference(build):
 def test_tables_match_the_per_action_reference_on_custom_nets(spec):
     m, actions = spec
     _assert_tables_match_reference(build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)]))
+
+
+def test_flat_outcome_ids_on_the_clamp_net():
+    _assert_flat_ids_match_reference(_clamp_net())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nets_with_repeated_outcomes())
+def test_flat_outcome_ids_on_custom_nets(spec):
+    m, actions = spec
+    _assert_flat_ids_match_reference(build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)]))
 
 
 def test_unavailable_action_error_names_smallest_id_and_its_first_row():
@@ -686,6 +739,12 @@ REPLAY_CASES = {
     ),
     "two batches": (
         critical_pp, "threshold", (1, -1), SimConfig(seed=0, steps=3, trials=4100, cap=3),
+    ),
+    # so few steps that the largest weight's outcomes are never taken, and
+    # max_abs_increment depends on exactly which outcomes were used
+    "ring-8 few outcomes used": (
+        _ring8, "pull-priority", (1, -2, 3, -4, 5, -6, 7, 80),
+        SimConfig(seed=4, steps=3, trials=4, cap=3),
     ),
 }
 
