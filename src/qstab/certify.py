@@ -27,7 +27,6 @@ from .netmodel import (
     Choice,
     Displacement,
     NetworkSpec,
-    PushPullMeta,
     ReentrantMeta,
     RingMeta,
     format_rational,
@@ -305,7 +304,7 @@ def is_critical(net: NetworkSpec) -> bool:
     stream, the two servers carry equal total mean work per job (equal
     sums of inverse rates).
     """
-    if isinstance(net.meta, (PushPullMeta, RingMeta)):
+    if isinstance(net.meta, RingMeta):
         return net.meta.push_rates == net.meta.pull_rates
     if isinstance(net.meta, ReentrantMeta):
         for stream in net.meta.streams:
@@ -323,9 +322,6 @@ def _closed_form(net: NetworkSpec) -> tuple[Fraction, ...] | None:
     meta = net.meta
     if meta is None or not is_critical(net):
         return None
-    if isinstance(meta, PushPullMeta):
-        l1, l2 = meta.push_rates
-        return (1 / l1, -1 / l2)
     if isinstance(meta, RingMeta):
         if net.n_queues % 2 != 0:
             return None
@@ -345,7 +341,7 @@ def ring_alpha_even(net: NetworkSpec) -> tuple[Fraction, ...]:
 
     Alternating signed inverse push rates: (+1/lam_1, -1/lam_2, ...).
     """
-    if not isinstance(net.meta, RingMeta):
+    if net.family != "ring":
         raise UnsupportedFamilyError("ring_alpha_even requires a ring network")
     if net.n_queues % 2 != 0:
         raise ValueError("ring_alpha_even requires an even number of servers")

@@ -15,13 +15,13 @@ built when a caller needs its rows (and refused above ``MAX_ACTIONS``).
 
 Three concrete families are provided (the two-server push-pull network, a
 ring of push-pull servers, and two-server re-entrant lines) plus fully
-custom action lists. All rates are exact rationals; this module never
+custom action lists. The push-pull network is the ring of two servers
+under its own action ids. All rates are exact rationals; this module never
 touches floating point.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,12 +179,6 @@ def integer_weights(rates: Iterable[Fraction]) -> tuple[list[int], int]:
 
 
 @dataclass(frozen=True)
-class PushPullMeta:
-    push_rates: tuple[Fraction, Fraction]
-    pull_rates: tuple[Fraction, Fraction]
-
-
-@dataclass(frozen=True)
 class RingMeta:
     push_rates: tuple[Fraction, ...]
     pull_rates: tuple[Fraction, ...]
@@ -247,7 +241,7 @@ class ReentrantMeta:
         )
 
 
-FamilyMeta = Union[PushPullMeta, RingMeta, ReentrantMeta, None]
+FamilyMeta = Union[RingMeta, ReentrantMeta, None]
 
 
 @dataclass(frozen=True)
@@ -284,10 +278,7 @@ class NetworkSpec:
     @cached_property
     def actions(self) -> tuple[ActionSpec, ...]:
         """Every action in id order, built on first use."""
-        n = self.listable_actions()
-        ids = range(n) if self.ids is None else self.ids
-        built = [_combine(i, choices) for i, choices in zip(ids, itertools.product(*self.menus))]
-        return tuple(sorted(built, key=lambda act: act.id))
+        return tuple(map(self.action, range(self.listable_actions())))
 
     def action(self, action_id: int) -> ActionSpec:
         """One action, built from the choices its id names without listing the others."""
@@ -334,20 +325,15 @@ def _unit(n: int, k: int, sign: int) -> Displacement:
 
 
 def build_push_pull(lam1: RateLike, lam2: RateLike, mu1: RateLike, mu2: RateLike) -> NetworkSpec:
-    """The two-server push-pull network.
+    """The two-server push-pull network: the ring of two servers, with its own action ids.
 
     Server 1 pushes stream 1 (rate lam1) or pulls queue 2 (rate mu2);
     server 2 pushes stream 2 (rate lam2) or pulls queue 1 (rate mu1).
     Four actions, one per pair of server choices, with ids 0 (push,push),
     1 (pull,pull), 2 (push,pull) and 3 (pull,push).
     """
-    l1, l2 = as_rate(lam1), as_rate(lam2)
-    m1, m2 = as_rate(mu1), as_rate(mu2)
-    menus = (
-        (make_choice("push", [((1, 0), l1)], 2), make_choice("pull", [((0, -1), m2)], 2)),
-        (make_choice("push", [((0, 1), l2)], 2), make_choice("pull", [((-1, 0), m1)], 2)),
-    )
-    return NetworkSpec(2, menus, "pushpull", PushPullMeta((l1, l2), (m1, m2)), (0, 2, 3, 1))
+    ring = build_ring([lam1, lam2], [mu1, mu2])
+    return NetworkSpec(2, ring.menus, "pushpull", ring.meta, (0, 2, 3, 1))
 
 
 def build_ring(lam: Sequence[RateLike], mu: Sequence[RateLike]) -> NetworkSpec:
@@ -390,7 +376,7 @@ def build_reentrant(
     for i, stream in enumerate(streams):
         steps = []
         for j, (server, rate) in enumerate(stream):
-            if server not in (1, 2):
+            if isinstance(server, bool) or server not in (1, 2):
                 raise ConstructionError(
                     f"stream {i + 1} step {j}: server must be 1 or 2, got {server!r}"
                 )
@@ -540,18 +526,14 @@ def loads_spec(text: str) -> NetworkSpec:
     if family not in FAMILIES:
         raise SpecFileError(f"field 'family' must be one of {list(FAMILIES)}, got {family!r}")
     try:
-        if family == "pushpull":
+        if family in ("pushpull", "ring"):
             _require_fields(doc, {"family", "lambda", "mu"}, {"family", "lambda", "mu"}, "document")
-            lam = _rate_list(doc["lambda"], "'lambda'", 2)
-            mu = _rate_list(doc["mu"], "'mu'", 2)
-            return build_push_pull(lam[0], lam[1], mu[0], mu[1])
-        if family == "ring":
-            _require_fields(doc, {"family", "lambda", "mu"}, {"family", "lambda", "mu"}, "document")
-            lam = _rate_list(doc["lambda"], "'lambda'")
-            mu = _rate_list(doc["mu"], "'mu'")
+            length = 2 if family == "pushpull" else None
+            lam = _rate_list(doc["lambda"], "'lambda'", length)
+            mu = _rate_list(doc["mu"], "'mu'", length)
             if len(lam) != len(mu) or len(lam) < 2:
                 raise SpecFileError("'lambda' and 'mu' must have equal lengths >= 2")
-            return build_ring(lam, mu)
+            return build_ring(lam, mu) if family == "ring" else build_push_pull(*lam, *mu)
         if family == "reentrant":
             _require_fields(doc, {"family", "streams"}, {"family", "streams"}, "document")
             if not isinstance(doc["streams"], list) or not doc["streams"]:
@@ -565,7 +547,7 @@ def loads_spec(text: str) -> NetworkSpec:
                     where = f"streams[{i}][{j}]"
                     _require_fields(op, {"server", "rate"}, {"server", "rate"}, where)
                     server = op["server"]
-                    if server not in (1, 2):
+                    if type(server) is not int or server not in (1, 2):
                         raise SpecFileError(f"{where}.server must be 1 or 2")
                     ops.append((server, _rate_field(op["rate"], f"{where}.rate")))
                 streams.append(ops)

@@ -35,7 +35,7 @@ Identical (network, policy, config) therefore yield bit-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping, Sequence
@@ -216,13 +216,25 @@ class Policy:
     and custom tables and resolvers run once per row, in row order.
     """
 
-    kind: str
     resolve: Callable[[State], int]
     choose_batch: Callable[[np.ndarray], np.ndarray]
 
 
+class _Report:
+    """A report whose JSON form lists its fields in declaration order."""
+
+    def to_json_dict(self) -> dict:
+        """Each field by name; a Fraction as ``"num/den"``, a tuple as a list."""
+        def encode(value):
+            if isinstance(value, Fraction):
+                return format_rational(value)
+            return list(value) if isinstance(value, tuple) else value
+
+        return {f.name: encode(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class ReturnTimeStats:
+class ReturnTimeStats(_Report):
     """Return times to the start state, censored at the cap.
 
     Censored trials are excluded from ``mean_uncensored`` and contribute
@@ -236,18 +248,9 @@ class ReturnTimeStats:
     mean_uncensored: float
     mean_censored_at_cap: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "returned": self.returned,
-            "censored_fraction": format_rational(self.censored_fraction),
-            "mean_uncensored": self.mean_uncensored,
-            "mean_censored_at_cap": self.mean_censored_at_cap,
-        }
-
 
 @dataclass(frozen=True)
-class MartingaleReport:
+class MartingaleReport(_Report):
     """Empirical drift of the weighted queue length Z = alpha'X.
 
     ``bound`` is the exact supremum of one-step |dZ| implied by the
@@ -259,28 +262,17 @@ class MartingaleReport:
     max_abs_increment: float
     bound: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_delta_Z": self.mean_delta_Z,
-            "std_error": self.std_error,
-            "max_abs_increment": self.max_abs_increment,
-            "bound": self.bound,
-        }
-
 
 @dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(_Report):
     """Least-squares slope of total queue length per step, averaged over trials."""
 
     slope_per_step: float
     fraction_grew: float
 
-    def to_json_dict(self) -> dict:
-        return {"slope_per_step": self.slope_per_step, "fraction_grew": self.fraction_grew}
-
 
 @dataclass(frozen=True)
-class TrajectorySummary:
+class TrajectorySummary(_Report):
     """Quick-look statistics of fixed-length trajectories."""
 
     trials: int
@@ -288,15 +280,6 @@ class TrajectorySummary:
     mean_final_total: float
     max_final_total: int
     final_state_trial0: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "steps": self.steps,
-            "mean_final_total": self.mean_final_total,
-            "max_final_total": self.max_final_total,
-            "final_state_trial0": list(self.final_state_trial0),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +303,7 @@ def _row_policy(resolve: Callable[[State], int], n_actions: int) -> Policy:
                 raise _unknown_id(a, states[row])
         return np.array(ids, dtype=np.int64)
 
-    return Policy("custom", resolve, choose_batch)
+    return Policy(resolve, choose_batch)
 
 
 def _drained(choice: Choice) -> int | None:
@@ -346,9 +329,7 @@ def _priority_orders(net: NetworkSpec, kind: str) -> list[list[int]]:
     return [[1, 0]] * len(net.menus)  # pull, else push
 
 
-def _priority_policy(
-    net: NetworkSpec, kind: str, orders: Sequence[Sequence[int]], cutoff: int
-) -> Policy:
+def _priority_policy(net: NetworkSpec, orders: Sequence[Sequence[int]], cutoff: int) -> Policy:
     """Every server takes the first menu position of its list in ``orders``
     whose choice qualifies: its drained queue holds more than ``cutoff``
     jobs, or it drains nothing.
@@ -399,7 +380,7 @@ def _priority_policy(
             raise PolicyError(f"server {server} has no available operation at state {z}")
         return ids if lut is None else lut.take(ids)
 
-    return Policy(kind, lambda z: int(choose_batch(np.array([z], dtype=np.int64))[0]), choose_batch)
+    return Policy(lambda z: int(choose_batch(np.array([z], dtype=np.int64))[0]), choose_batch)
 
 
 def make_policy(
@@ -467,7 +448,7 @@ def make_policy(
         if threshold is None or threshold < 0:
             raise ConstructionError("threshold policies need a nonnegative cutoff")
     cutoff = threshold if kind == "threshold" else 0
-    return _priority_policy(net, kind, _priority_orders(net, kind), cutoff)
+    return _priority_policy(net, _priority_orders(net, kind), cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from qstab.certify import (
 from qstab.cli import _emit
 from qstab.netmodel import (
     MAX_ACTIONS,
-    PushPullMeta,
     ReentrantMeta,
     RingMeta,
     build_push_pull,
@@ -99,7 +98,7 @@ def reference_actions(net) -> list[tuple[int, str, tuple]]:
             acc[d] = acc.get(d, 0) + r
         return tuple(sorted(acc.items()))
 
-    if isinstance(meta, PushPullMeta):
+    if net.family == "pushpull":
         (l1, l2), (m1, m2) = meta.push_rates, meta.pull_rates
         table = [("(push,push)", [((1, 0), l1), ((0, 1), l2)]),
                  ("(pull,pull)", [((-1, 0), m1), ((0, -1), m2)]),

@@ -91,6 +91,12 @@ def test_ring_m2_matches_push_pull_by_label():
     ring_map = {a.label: dict(a.outcomes) for a in ring.actions}
     pp_map = {a.label: dict(a.outcomes) for a in pp.actions}
     assert ring_map == pp_map
+    # Push-pull is the two-server ring: only the family name and the id map differ.
+    assert (pp.n_queues, pp.menus, pp.meta) == (ring.n_queues, ring.menus, ring.meta)
+    assert (pp.family, pp.ids) == ("pushpull", (0, 2, 3, 1))
+    assert (ring.family, ring.ids) == ("ring", None)
+    for net in (pp, build_ring([1, "2/3", 3], [5, 7, "1/2"]), build_two_stream_example()):
+        assert [net.action(i) for i in range(net.n_actions)] == list(net.actions)
 
 
 def test_ring_all_push_uniform():
@@ -162,6 +168,8 @@ def test_reentrant_validation():
         build_reentrant([[(1, 1), (1, 1)]])  # server 2 idle everywhere
     with pytest.raises(ConstructionError):
         build_reentrant([[(3, 1), (2, 1)]])
+    with pytest.raises(ConstructionError, match="got True"):
+        build_reentrant([[(True, 1), (2, 1)]])  # True == 1, but a bool is no server
     with pytest.raises(ConstructionError):
         build_reentrant([[(1, 1), (2, 0)]])
 
@@ -324,6 +332,8 @@ def test_loads_each_family():
         ('{"family": "ring", "lambda": ["1"], "mu": ["1"]}', "length"),
         ('{"family": "pushpull", "lambda": [1.5, 1], "mu": ["1","1"]}', "lambda"),
         ('{"family": "reentrant", "streams": [[{"server": 1, "rate": "1", "y": 2}, {"server": 2, "rate": "1"}]]}', "'y'"),
+        ('{"family": "reentrant", "streams": [[{"server": true, "rate": "1"}, {"server": 2, "rate": "1"}]]}', "streams[0][0].server must be 1 or 2"),
+        ('{"family": "reentrant", "streams": [[{"server": 1.0, "rate": "1"}, {"server": 2, "rate": "1"}]]}', "streams[0][0].server must be 1 or 2"),
         ('{"family": "custom", "M": 0, "actions": []}', "'M'"),
         ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": [{"disp": [1], "rate": "-1"}]}]}', "positive"),
     ],
