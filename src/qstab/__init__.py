@@ -5,6 +5,12 @@ re-entrant, or custom), certify non-stabilizability through an exact
 rational null-space certificate of the action drift matrix, and
 corroborate verdicts by reproducible Monte Carlo simulation of the
 embedded chain under non-idling policies.
+
+The exact engine (``certify`` and ``netmodel``) uses ``fractions`` only,
+so ``import qstab`` does not load numpy. The simulator's names (``SimConfig``,
+``make_policy``, ``run_trajectories``, ...) load :mod:`qstab.simulate`, and
+with it numpy, on first use. ``PolicyError`` lives in ``netmodel``, so
+catching it needs no simulator.
 """
 
 from .certify import (
@@ -32,6 +38,7 @@ from .netmodel import (
     ConstructionError,
     IndexSets,
     NetworkSpec,
+    PolicyError,
     SpecFileError,
     available_actions,
     build_custom,
@@ -47,23 +54,6 @@ from .netmodel import (
     parse_rational,
     spec_document,
     transition_distribution,
-)
-from .simulate import (
-    GrowthReport,
-    MartingaleReport,
-    Policy,
-    PolicyError,
-    ReturnTimeStats,
-    SimConfig,
-    TrajectorySummary,
-    blowup_probe,
-    estimate_return_time,
-    make_policy,
-    martingale_test,
-    run_trajectories,
-    step,
-    substream_seed,
-    trial_rng,
 )
 
 __version__ = "0.1.0"
@@ -123,3 +113,20 @@ __all__ = [
     "verify_unit_pairing",
     "__version__",
 ]
+
+
+# The names in __all__ that the certify and netmodel imports do not define
+# are the simulator's; __getattr__ (PEP 562) imports it on first use.
+_SIMULATE_NAMES = frozenset(__all__) - frozenset(globals())
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATE_NAMES)

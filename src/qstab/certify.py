@@ -418,12 +418,13 @@ def _certificate_alpha(
     """A null space vector every action can move, or None when none exists."""
     if not basis or not _moves_every_action(basis, net.menus):
         return None
+    last_t = max(map(len, net.menus)) * (len(basis) - 1) + 1
 
     def candidates():
         if closed is not None:
             yield closed
         yield from basis
-        for t in range(1, net.n_actions * (len(basis) - 1) + 2):
+        for t in range(1, last_t + 1):
             yield tuple(
                 sum(t**k * b[i] for k, b in enumerate(basis)) for i in range(net.n_queues)
             )
@@ -447,12 +448,17 @@ def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
 
     The certificate is the first candidate that every action can move: the
     family closed form (checked against D), then each basis vector, then
-    alpha(t) = sum_k t^(k-1) b_k for t = 1, 2, .... For an unblocked action
-    a, alpha(t).d is a nonzero polynomial in t of degree below n for some d
-    in its support, so it has at most n - 1 roots, and one of the first
-    L(n-1)+1 values of t works for all L actions. The null space comes
-    from :func:`spanning_drift_matrix` and every test above reads the
-    server menus, so the L actions are never listed. The alpha found is
+    alpha(t) = sum_k t^(k-1) b_k for t = 1, 2, .... A choice is blocked
+    like an action. When no action is blocked, some server s has no
+    blocked choice, or the action made of every server's blocked choice
+    would be blocked. For each choice c of s, alpha(t).d is a nonzero
+    polynomial in t of degree below n for some d in c's support, so it has
+    at most n - 1 roots. One of the first |menu_s|(n-1)+1 values of t, so
+    of the first max_s |menu_s|(n-1)+1, therefore moves every choice of s,
+    and so every action, since each action contains one of them; the
+    search stops there. The null space comes from
+    :func:`spanning_drift_matrix` and every test above reads the server
+    menus, so the L actions are never listed. The alpha found is
     returned in canonical integer form with verdict NON_STABILIZABLE. Else
     the verdict is INCONCLUSIVE with the null space basis attached: no
     certificate exists, which does not assert stability either.

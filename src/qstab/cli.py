@@ -15,10 +15,9 @@ from functools import cache
 from typing import Sequence
 
 from . import certify as certify_mod
-from . import netmodel, simulate
+from . import netmodel
 from .jsonio import render_json
-from .netmodel import ConstructionError, SpecFileError, format_rational, parse_rational
-from .simulate import PolicyError, SimConfig
+from .netmodel import ConstructionError, PolicyError, SpecFileError, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,7 +51,7 @@ def _parse_alpha(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def _parse_policy(net, text: str):
+def _parse_policy(simulate, net, text: str):
     if text.startswith("threshold:"):
         try:
             cutoff = int(text.split(":", 1)[1])
@@ -135,13 +134,13 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _sim_config(ns, net) -> SimConfig:
+def _sim_config(simulate, ns, net):
     x0 = _parse_x0(ns.x0) if ns.x0 is not None else None
     if x0 is not None and len(x0) != net.n_queues:
         raise ConstructionError(
             f"--x0 has length {len(x0)}, the network has {net.n_queues} queues"
         )
-    return SimConfig(seed=ns.seed, steps=ns.steps, trials=ns.trials, cap=ns.cap, x0=x0)
+    return simulate.SimConfig(seed=ns.seed, steps=ns.steps, trials=ns.trials, cap=ns.cap, x0=x0)
 
 
 def _dispatch(ns) -> int:
@@ -169,8 +168,11 @@ def _dispatch(ns) -> int:
             )
         _emit({"family": net.family, "alpha": [format_rational(x) for x in closed]}, ns.format)
         return EXIT_OK
-    policy = _parse_policy(net, ns.policy)
-    cfg = _sim_config(ns, net)
+    # The simulator, and with it numpy, loads only once a simulation is asked for.
+    from . import simulate
+
+    policy = _parse_policy(simulate, net, ns.policy)
+    cfg = _sim_config(simulate, ns, net)
     if ns.verb == "simulate":
         report = simulate.run_trajectories(net, policy, cfg)
     elif ns.verb == "return-time":

@@ -50,6 +50,10 @@ class SpecFileError(ValueError):
     """A network spec document is malformed."""
 
 
+class PolicyError(RuntimeError):
+    """A policy selected an action that is not available, or none exists."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"num/den"`` or ``"num"`` into an exact Fraction."""
     s = text.strip()

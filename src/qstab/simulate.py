@@ -15,8 +15,9 @@ Reproducibility contract
   builds those streams a batch at a time (:func:`_pcg64_states`) and
   draws them through one reused PCG64, after checking once per process
   that one such stream equals ``trial_rng``'s.
-* the start state's total plus max(steps, cap) stays below 2**63, so no
-  queue length or total overflows the engine's int64 states.
+* the start state's total (0 for the default origin) plus max(steps,
+  cap) stays below 2**63, so no queue length or total overflows the
+  engine's int64 states; :class:`SimConfig` refuses anything larger.
 * one uniform variate u is consumed per step, from the trial's own stream;
   a refill draws, for each trial still running, only the uniforms the
   next ``_CHUNK`` (256) steps (or the rest of the steps or cap) can use, and
@@ -47,6 +48,7 @@ from .netmodel import (
     Choice,
     ConstructionError,
     NetworkSpec,
+    PolicyError,
     ReentrantMeta,
     State,
     check_state,
@@ -63,10 +65,6 @@ _CHUNK = 256       # uniforms pregenerated per trial per refill
 _BATCH = 4096      # trials simulated in lockstep per batch
 
 POLICY_KINDS = ("pull-priority", "push-priority", "threshold", "custom")
-
-
-class PolicyError(RuntimeError):
-    """A policy selected an action that is not available, or none exists."""
 
 
 def substream_seed(seed: int, trial: int) -> int:
@@ -192,8 +190,13 @@ class SimConfig:
         for name in ("steps", "trials", "cap"):
             if getattr(self, name) < 1:
                 raise ConstructionError(f"{name} must be a positive integer")
+        steps = max(self.steps, self.cap)
         if self.x0 is not None:
-            _check_headroom(self.x0, max(self.steps, self.cap))
+            _check_headroom(self.x0, steps)
+        elif steps >= 2**63:
+            raise ConstructionError(
+                f"steps/cap {steps} is too large: the origin plus {steps} steps reaches 2**63"
+            )
 
 
 def _check_headroom(z: Sequence[int], steps: int) -> None:

@@ -217,6 +217,16 @@ def test_huge_start_state_is_an_error(spec_dir, capsys, extra):
     assert "too large" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("option", ["--steps", "--cap"])
+def test_unbounded_steps_or_cap_is_an_error(spec_dir, capsys, option):
+    args = ["--trials", "5", "--steps", "5", "--cap", "5", option, "99999999999999999999"]
+    assert run(["simulate", spec_dir["pp-critical.json"], *args]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: steps/cap 99999999999999999999 is too large: "
+                            "the origin plus 99999999999999999999 steps reaches 2**63\n")
+
+
 @pytest.mark.parametrize("text", ["[" * 200_000, '{"family": ' + '{"x": ' * 200_000],
                          ids=["arrays", "objects"])
 def test_deeply_nested_spec_is_an_error(spec_dir, capsys, text):

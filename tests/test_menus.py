@@ -28,6 +28,7 @@ from qstab.certify import (
     spanning_drift_matrix,
 )
 from qstab.cli import _emit
+from qstab.exactla import normalize_integer_vector
 from qstab.netmodel import (
     MAX_ACTIONS,
     ReentrantMeta,
@@ -200,6 +201,27 @@ def test_nondegeneracy_checks_match_a_loop_over_actions(net, data):
     # several vectors at once, as in the blocked test on a null space basis
     for pair in itertools.combinations(vectors, 2):
         assert certify._moves_every_action(pair, net.menus) == loop_direct(net, *pair)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(family_nets(), st.data())
+def test_certificate_search_needs_only_the_menu_bound(net, data):
+    # Any vectors can stand in for a null space basis: the search reads only
+    # which displacements they move. The reference walks every listed action
+    # and t = 1..L(n-1)+1; the search stops after max_s |menu_s|(n-1)+1
+    # values of t, and must return the same vector.
+    m = net.n_queues
+    n = data.draw(st.integers(1, 3))
+    basis = [tuple(data.draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)))
+             for _ in range(n)]
+
+    def alpha(t):
+        return tuple(sum(t**k * b[i] for k, b in enumerate(basis)) for i in range(m))
+
+    candidates = basis + [alpha(t) for t in range(1, net.n_actions * (n - 1) + 2)]
+    expected = next((normalize_integer_vector(c) for c in candidates
+                     if any(c) and loop_direct(net, c)), None)
+    assert certify._certificate_alpha(net, basis, None) == expected
 
 
 def test_one_action_is_the_row_of_the_action_list():

@@ -994,6 +994,14 @@ def test_start_states_keep_int64_headroom():
             step(net, push, z, trial_rng(0, 0))
 
 
+def test_steps_and_cap_keep_int64_headroom_from_the_origin():
+    # The default start is the origin, so steps and cap alone must stay below 2**63.
+    for kwargs in ({"steps": 2**63}, {"cap": 2**63}, {"steps": 2**63, "cap": 2**70}):
+        with pytest.raises(ConstructionError, match=r"^steps/cap \d+ is too large"):
+            SimConfig(**kwargs)
+    assert SimConfig(steps=2**63 - 1, cap=2**63 - 1).x0 is None
+
+
 def test_trajectory_summary_fields():
     net = critical_pp()
     pol = make_policy(net, "pull-priority")
