@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -107,16 +108,15 @@ class HarmonicCertificate:
     """Outcome of a certification run.
 
     ``alpha`` is the canonical integer form of the harmonic weight vector
-    when one was found, else None. The verdict is NON_STABILIZABLE exactly
-    when ``dalpha_zero`` and ``nondeg_direct`` both hold. INCONCLUSIVE means
-    that no such alpha exists; the condition is sufficient, not necessary,
-    so it never asserts stability.
+    when one was found, else None. Every alpha found satisfies D alpha = 0
+    and moves every action, so the verdict is NON_STABILIZABLE exactly
+    when ``alpha`` is not None, and the report's ``nondegeneracy.direct``
+    is that same fact. INCONCLUSIVE means that no such alpha exists; the
+    condition is sufficient, not necessary, so it never asserts stability.
     """
 
     verdict: Verdict
     alpha: tuple[Fraction, ...] | None
-    dalpha_zero: bool
-    nondeg_direct: bool
     nondeg_lemma: bool
     rank: int
     n_queues: int
@@ -133,7 +133,7 @@ class HarmonicCertificate:
             "alpha": None
             if self.alpha is None
             else [format_rational(x) for x in self.alpha],
-            "nondegeneracy": {"direct": self.nondeg_direct, "lemma": self.nondeg_lemma},
+            "nondegeneracy": {"direct": self.alpha is not None, "lemma": self.nondeg_lemma},
             "critical": self.critical,
             "null_space_basis": [
                 [format_rational(Fraction(x)) for x in vec] for vec in self.null_space_basis
@@ -301,20 +301,21 @@ def is_critical(net: NetworkSpec) -> bool:
 
     Push-pull and ring networks are critical when each stream's push and
     pull rates coincide. A re-entrant network is critical when, for every
-    stream, the two servers carry equal total mean work per job (equal
-    sums of inverse rates).
+    stream, the two servers carry equal total mean work per job: the
+    signed inverse rates of the stream's steps (:func:`_signed_work`) sum
+    to zero. Their partial sums are the closed-form weights.
     """
     if isinstance(net.meta, RingMeta):
         return net.meta.push_rates == net.meta.pull_rates
     if isinstance(net.meta, ReentrantMeta):
-        for stream in net.meta.streams:
-            sums = {1: Fraction(0), 2: Fraction(0)}
-            for server, rate in stream:
-                sums[server] += 1 / rate
-            if sums[1] != sums[2]:
-                return False
-        return True
+        return all(sum(map(_signed_work, stream)) == 0 for stream in net.meta.streams)
     raise UnsupportedFamilyError("criticality is undefined for custom networks")
+
+
+def _signed_work(step: tuple[int, Fraction]) -> Fraction:
+    """Mean work of one re-entrant step, signed by server: -1/rate on server 1, +1/rate on 2."""
+    server, rate = step
+    return (-1 if server == 1 else 1) / rate
 
 
 def _closed_form(net: NetworkSpec) -> tuple[Fraction, ...] | None:
@@ -326,14 +327,8 @@ def _closed_form(net: NetworkSpec) -> tuple[Fraction, ...] | None:
         if net.n_queues % 2 != 0:
             return None
         return tuple((1 if i % 2 == 0 else -1) / rate for i, rate in enumerate(meta.push_rates))
-    alpha = [Fraction(0)] * net.n_queues
-    for i, stream in enumerate(meta.streams):
-        partial = Fraction(0)
-        for j in range(meta.stream_lengths[i]):
-            server, rate = stream[j]
-            partial += (-1 if server == 1 else 1) / rate
-            alpha[meta.queue_index(i, j + 1)] = partial
-    return tuple(alpha)
+    # Queue j of a stream weighs the signed work of its steps 0..j-1; queues run stream by stream.
+    return tuple(w for stream in meta.streams for w in accumulate(map(_signed_work, stream[:-1])))
 
 
 def ring_alpha_even(net: NetworkSpec) -> tuple[Fraction, ...]:
@@ -387,27 +382,21 @@ def _assert_harmonic(d: DriftMatrix, alpha: Sequence[Fraction]) -> tuple[int, ..
 def verify_unit_pairing(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
     """Check the signed-unit identity of re-entrant closed-form weights.
 
-    For every step (i, j), the rate-weighted displacement of that single
-    step must pair with alpha to exactly -1 on server 1 and +1 on server 2.
-    Summing the two steps of any action then cancels exactly, which is why
-    the drift matrix annihilates alpha.
+    Every choice of a re-entrant network is one step with one outcome. For
+    each outcome (d, rate) in the network's own menus, rate * (alpha . d)
+    must be exactly -1 on server 1 (``menus[0]``) and +1 on server 2
+    (``menus[1]``). Summing the two steps of any action then cancels
+    exactly, which is why the drift matrix annihilates alpha.
     """
     if not isinstance(net.meta, ReentrantMeta):
         raise UnsupportedFamilyError("verify_unit_pairing requires a re-entrant network")
-    meta = net.meta
     vec = _check_alpha(net, alpha)
-    for i, stream in enumerate(meta.streams):
-        n_i = meta.stream_lengths[i]
-        for j, (server, rate) in enumerate(stream):
-            if j == 0:
-                paired = rate * vec[meta.queue_index(i, 1)]
-            elif j == n_i:
-                paired = -rate * vec[meta.queue_index(i, n_i)]
-            else:
-                paired = rate * (vec[meta.queue_index(i, j + 1)] - vec[meta.queue_index(i, j)])
-            if paired != (-1 if server == 1 else 1):
-                return False
-    return True
+    return all(
+        rate * sum(a * x for a, x in zip(vec, d) if x) == sign
+        for menu, sign in zip(net.menus, (-1, 1))
+        for choice in menu
+        for d, rate in choice.outcomes
+    )
 
 
 def _certificate_alpha(
@@ -471,13 +460,9 @@ def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
     if closed is not None:
         closed = _assert_harmonic(d, closed)
     found = _certificate_alpha(net, basis, closed)
-    if found is None:
-        return HarmonicCertificate(
-            Verdict.INCONCLUSIVE, None, False, False, False,
-            rk, net.n_queues, net.n_actions, critical, basis,
-        )
-    alpha = tuple(Fraction(x) for x in found)
+    alpha = None if found is None else tuple(Fraction(x) for x in found)
     return HarmonicCertificate(
-        Verdict.NON_STABILIZABLE, alpha, True, True, check_nondegeneracy_lemma(net, alpha),
+        Verdict.INCONCLUSIVE if alpha is None else Verdict.NON_STABILIZABLE,
+        alpha, alpha is not None and check_nondegeneracy_lemma(net, alpha),
         rk, net.n_queues, net.n_actions, critical, basis,
     )

@@ -23,6 +23,7 @@ touches floating point.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -455,8 +456,19 @@ def build_two_stream_example(
     return build_reentrant(streams)
 
 
+def check_int(value: object, what: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, bools and floats do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConstructionError(f"{what} must be an integer, got {value!r}")
+
+
 def check_state(z: Sequence[int], n_queues: int) -> State:
-    state = tuple(int(x) for x in z)
+    """``z`` as a tuple of ints of length ``n_queues``, none negative."""
+    state = tuple(check_int(x, "a queue length") for x in z)
     if len(state) != n_queues:
         raise ConstructionError(f"state {state} has length {len(state)}, expected {n_queues}")
     if any(x < 0 for x in state):
@@ -485,13 +497,13 @@ def transition_distribution(
 # ---------------------------------------------------------------------------
 # Spec files: UTF-8 JSON documents describing a network.
 
-def _require_fields(obj: Mapping, allowed: set[str], required: set[str], where: str) -> None:
+def _require_fields(obj: Mapping, names: set[str], where: str) -> None:
     if not isinstance(obj, Mapping):
         raise SpecFileError(f"{where} must be an object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - names)
     if unknown:
         raise SpecFileError(f"unknown field {unknown[0]!r} in {where}")
-    missing = sorted(required - set(obj))
+    missing = sorted(names - set(obj))
     if missing:
         raise SpecFileError(f"missing field {missing[0]!r} in {where}")
 
@@ -531,7 +543,7 @@ def loads_spec(text: str) -> NetworkSpec:
         raise SpecFileError(f"field 'family' must be one of {list(FAMILIES)}, got {family!r}")
     try:
         if family in ("pushpull", "ring"):
-            _require_fields(doc, {"family", "lambda", "mu"}, {"family", "lambda", "mu"}, "document")
+            _require_fields(doc, {"family", "lambda", "mu"}, "document")
             length = 2 if family == "pushpull" else None
             lam = _rate_list(doc["lambda"], "'lambda'", length)
             mu = _rate_list(doc["mu"], "'mu'", length)
@@ -539,7 +551,7 @@ def loads_spec(text: str) -> NetworkSpec:
                 raise SpecFileError("'lambda' and 'mu' must have equal lengths >= 2")
             return build_ring(lam, mu) if family == "ring" else build_push_pull(*lam, *mu)
         if family == "reentrant":
-            _require_fields(doc, {"family", "streams"}, {"family", "streams"}, "document")
+            _require_fields(doc, {"family", "streams"}, "document")
             if not isinstance(doc["streams"], list) or not doc["streams"]:
                 raise SpecFileError("'streams' must be a nonempty list")
             streams = []
@@ -549,7 +561,7 @@ def loads_spec(text: str) -> NetworkSpec:
                 ops = []
                 for j, op in enumerate(stream):
                     where = f"streams[{i}][{j}]"
-                    _require_fields(op, {"server", "rate"}, {"server", "rate"}, where)
+                    _require_fields(op, {"server", "rate"}, where)
                     server = op["server"]
                     if type(server) is not int or server not in (1, 2):
                         raise SpecFileError(f"{where}.server must be 1 or 2")
@@ -557,7 +569,7 @@ def loads_spec(text: str) -> NetworkSpec:
                 streams.append(ops)
             return build_reentrant(streams)
         # custom
-        _require_fields(doc, {"family", "M", "actions"}, {"family", "M", "actions"}, "document")
+        _require_fields(doc, {"family", "M", "actions"}, "document")
         m = doc["M"]
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise SpecFileError("'M' must be a positive integer")
@@ -566,7 +578,7 @@ def loads_spec(text: str) -> NetworkSpec:
         actions = []
         for i, entry in enumerate(doc["actions"]):
             where = f"actions[{i}]"
-            _require_fields(entry, {"label", "outcomes"}, {"label", "outcomes"}, where)
+            _require_fields(entry, {"label", "outcomes"}, where)
             if not isinstance(entry["label"], str):
                 raise SpecFileError(f"{where}.label must be a string")
             if not isinstance(entry["outcomes"], list) or not entry["outcomes"]:
@@ -574,7 +586,7 @@ def loads_spec(text: str) -> NetworkSpec:
             outcomes = []
             for j, outcome in enumerate(entry["outcomes"]):
                 owhere = f"{where}.outcomes[{j}]"
-                _require_fields(outcome, {"disp", "rate"}, {"disp", "rate"}, owhere)
+                _require_fields(outcome, {"disp", "rate"}, owhere)
                 disp = outcome["disp"]
                 if not isinstance(disp, list) or not all(
                     isinstance(x, int) and not isinstance(x, bool) for x in disp

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .netmodel import (
     PolicyError,
     ReentrantMeta,
     State,
+    check_int,
     check_state,
     format_rational,
     index_sets,
@@ -185,6 +186,8 @@ class SimConfig:
     x0: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("seed", "steps", "trials", "cap"):
+            check_int(getattr(self, name), name)
         if not 0 <= self.seed < 2**64:
             raise ConstructionError("seed must be an integer in [0, 2**64)")
         for name in ("steps", "trials", "cap"):
@@ -192,7 +195,7 @@ class SimConfig:
                 raise ConstructionError(f"{name} must be a positive integer")
         steps = max(self.steps, self.cap)
         if self.x0 is not None:
-            _check_headroom(self.x0, steps)
+            _check_headroom(check_state(self.x0, len(self.x0)), steps)
         elif steps >= 2**63:
             raise ConstructionError(
                 f"steps/cap {steps} is too large: the origin plus {steps} steps reaches 2**63"
@@ -391,8 +394,6 @@ def make_policy(
     kind: str,
     *,
     threshold: int | None = None,
-    table: Mapping[State, int] | None = None,
-    default: int | None = None,
     resolver: Callable[[State], int] | None = None,
 ) -> Policy:
     """Build one of the supported policies for this network.
@@ -415,9 +416,10 @@ def make_policy(
         Lists [pull, push], cutoff ``threshold``: each server pulls iff
         its pull queue exceeds it (push-pull and ring families only).
     custom
-        An explicit finite ``table`` of state -> action id with a
-        ``default`` id, or an arbitrary ``resolver`` callable, called
-        once per row in row order. Availability is validated at every step.
+        A ``resolver`` callable from a state tuple to an action id, called
+        once per row in row order; a finite table with a default id is
+        ``resolver=lambda z: table.get(z, default)``. Availability is
+        validated at every step.
 
     Every policy is a batch map; built-in kinds choose a batch in one call.
     Policies index the network's action list, so a network with more than
@@ -428,19 +430,9 @@ def make_policy(
     # A policy picks rows of the action list, so a network too large to list has none.
     n_actions = net.listable_actions()
     if kind == "custom":
-        if resolver is not None:
-            return _row_policy(resolver, n_actions)
-        if table is None and default is None:
-            raise ConstructionError("custom policies need a table/default or a resolver")
-        mapping = {tuple(k): int(v) for k, v in (table or {}).items()}
-
-        def resolve(z: State) -> int:
-            a = mapping.get(z, default)
-            if a is None:
-                raise PolicyError(f"custom policy table has no entry for state {z}")
-            return a
-
-        return _row_policy(resolve, n_actions)
+        if resolver is None:
+            raise ConstructionError("custom policies need a resolver")
+        return _row_policy(resolver, n_actions)
     if net.meta is None:
         raise ConstructionError(
             f"policy kind {kind!r} is unsupported for custom networks; provide a custom resolver"
@@ -448,7 +440,7 @@ def make_policy(
     if kind == "threshold":
         if isinstance(net.meta, ReentrantMeta):
             raise ConstructionError(f"policy kind {kind!r} is unsupported for re-entrant networks")
-        if threshold is None or threshold < 0:
+        if check_int(threshold, "a threshold cutoff") < 0:
             raise ConstructionError("threshold policies need a nonnegative cutoff")
     cutoff = threshold if kind == "threshold" else 0
     return _priority_policy(net, _priority_orders(net, kind), cutoff)
@@ -539,9 +531,15 @@ def _state(row: np.ndarray) -> State:
 
 
 def _choose(policy: Policy, states: np.ndarray, n_actions: int) -> np.ndarray:
-    """The policy's action ids for ``states``, checked against the action
-    range; the error names the first row with an unknown id."""
+    """The policy's action ids for ``states``: an integer array with one id
+    per row, each in range; the error names the first row with an unknown id."""
     acts = policy.choose_batch(states)
+    if not isinstance(acts, np.ndarray) or acts.dtype.kind not in "iu" or acts.shape != states.shape[:1]:
+        what = (f"dtype {acts.dtype}, shape {acts.shape}" if isinstance(acts, np.ndarray)
+                else f"a {type(acts).__name__}")
+        raise PolicyError(
+            f"choose_batch returned {what}; expected an integer array of shape ({len(states)},)"
+        )
     if acts.min() < 0 or acts.max() >= n_actions:
         row = int(np.argmax((acts < 0) | (acts >= n_actions)))
         raise _unknown_id(int(acts[row]), states[row])

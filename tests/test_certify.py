@@ -7,6 +7,7 @@ point elimination at 1e-9) before being asserted here.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -323,6 +324,23 @@ def test_unit_pairing_critical_and_perturbed():
         verify_unit_pairing(build_push_pull(1, 1, 1, 1), (1, -1))
 
 
+def test_unit_pairing_reads_the_networks_own_outcomes():
+    # Doubling one choice's rate in the menus, with the stream layout in
+    # meta left as it was, must fail the pairing on that choice.
+    net = build_two_stream_example()
+    alpha = reentrant_alpha(net)
+    assert verify_unit_pairing(net, alpha)
+    for s, menu in enumerate(net.menus):
+        for k, choice in enumerate(menu):
+            (d, rate), = choice.outcomes
+            changed = dataclasses.replace(choice, outcomes=((d, 2 * rate),))
+            menus = list(net.menus)
+            menus[s] = menu[:k] + (changed,) + menu[k + 1:]
+            edited = dataclasses.replace(net, menus=tuple(menus))
+            assert edited.meta == net.meta
+            assert not verify_unit_pairing(edited, alpha)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -331,7 +349,8 @@ def test_certify_critical_push_pull():
     cert = certify_nonstabilizable(build_push_pull(1, 1, 1, 1))
     assert cert.verdict is Verdict.NON_STABILIZABLE
     assert cert.alpha == (F(1), F(-1))
-    assert cert.dalpha_zero and cert.nondeg_direct and cert.nondeg_lemma
+    assert cert.nondeg_lemma
+    assert cert.to_json_dict()["nondegeneracy"] == {"direct": True, "lemma": True}
     assert cert.critical is True and cert.rank == 1
 
 
@@ -479,7 +498,8 @@ def test_blocked_action_is_inconclusive_below_full_rank():
     cert = certify_nonstabilizable(net)
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.rank == 1 and cert.null_space_basis == ((1, 1),)
-    assert cert.alpha is None and not cert.dalpha_zero
+    assert cert.alpha is None and not cert.nondeg_lemma
+    assert cert.to_json_dict()["nondegeneracy"] == {"direct": False, "lemma": False}
 
 
 def test_certify_builds_drift_once_and_eliminates_once(monkeypatch):

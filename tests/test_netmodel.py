@@ -213,6 +213,15 @@ def test_state_validation():
         available_actions(net, (1, -1))
 
 
+@pytest.mark.parametrize("z", [(1.5, 0), (1.0, 0), (True, 0), (0, False), ("1", 0), (None, 0)])
+def test_state_entries_must_be_integers(z):
+    # int() would truncate 1.5 to 1 and read True as 1.
+    with pytest.raises(ConstructionError, match="a queue length must be an integer"):
+        netmodel.check_state(z, 2)
+    with pytest.raises(ConstructionError):
+        available_actions(build_push_pull(1, 1, 1, 1), z)
+
+
 def test_transition_distribution_unknown_action():
     net = build_push_pull(1, 1, 1, 1)
     with pytest.raises(ConstructionError):

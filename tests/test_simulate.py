@@ -176,8 +176,10 @@ def test_unsupported_policy_combinations():
 
 
 def test_custom_table_policy():
+    # A finite table with a default id is a resolver.
     net = critical_pp()
-    pol = make_policy(net, "custom", table={(0, 0): 0}, default=2)
+    table = {(0, 0): 0}
+    pol = make_policy(net, "custom", resolver=lambda z: table.get(z, 2))
     assert pol.resolve((0, 0)) == 0
     assert pol.resolve((5, 0)) == 2
     rng = trial_rng(0, 0)
@@ -312,10 +314,46 @@ def test_custom_policies_run_once_per_row_in_row_order():
     run_trajectories(net, pol, SimConfig(seed=0, steps=4, trials=3))
     assert len(seen) == 12
     assert seen[:3] == [(0, 0)] * 3  # step 1 sees every trial at the start state, in trial order
-    table = make_policy(net, "custom", table={(1, 0): 2}, default=0)
+    table = make_policy(net, "custom", resolver=lambda z: {(1, 0): 2}.get(z, 0))
     assert table.choose_batch(states).tolist() == [0, 0, 0, 0]
-    with pytest.raises(PolicyError, match=r"no entry for state \(1, 2\)"):
-        make_policy(net, "custom", table={(0, 0): 0}).choose_batch(np.array([[0, 0], [1, 2], [3, 3]]))
+    no_default = make_policy(net, "custom", resolver={(0, 0): 0}.get)
+    with pytest.raises(PolicyError, match=r"unknown action id None at state \(1, 2\)"):
+        no_default.choose_batch(np.array([[0, 0], [1, 2], [3, 3]]))
+    with pytest.raises(TypeError):
+        make_policy(net, "custom", table={(0, 0): 0}, default=2)
+
+
+def _direct_policy(output):
+    """A Policy built without make_policy, whose batch map returns ``output(states)``."""
+    return simulate.Policy(lambda z: 0, output)
+
+
+@pytest.mark.parametrize("output, got", [
+    (lambda st: np.zeros(len(st), dtype=bool), r"dtype bool, shape \(3,\)"),
+    (lambda st: np.zeros(len(st)), r"dtype float64, shape \(3,\)"),
+    (lambda st: [0] * len(st), "a list"),
+    (lambda st: np.zeros(len(st) + 1, dtype=np.int64), r"dtype int64, shape \(4,\)"),
+    (lambda st: np.zeros((len(st), 1), dtype=np.int64), r"dtype int64, shape \(3, 1\)"),
+    (lambda st: np.int64(0), "a int64"),
+], ids=["bool", "float", "list", "long", "2-d", "scalar"])
+def test_choose_batch_must_return_one_integer_id_per_row(output, got):
+    net = critical_pp()
+    with pytest.raises(PolicyError, match=rf"^choose_batch returned {got}; expected an integer array "
+                                          r"of shape \(3,\)$"):
+        run_trajectories(net, _direct_policy(output), SimConfig(steps=2, trials=3))
+    with pytest.raises(PolicyError, match="choose_batch returned"):
+        step(net, _direct_policy(output), (1, 1), trial_rng(0, 0))
+
+
+def test_choose_batch_may_return_any_integer_dtype():
+    net = critical_pp()
+    cfg = SimConfig(seed=2, steps=30, trials=5)
+    ids = np.array([0, 3, 2, 1])  # pull-priority on the unit push-pull network
+    pull = make_policy(net, "pull-priority")
+    for dtype in (np.int64, np.int32, np.uint8):
+        def choose(states, dtype=dtype):
+            return ids.take((states > 0) @ np.array([2, 1])).astype(dtype)
+        assert run_trajectories(net, _direct_policy(choose), cfg) == run_trajectories(net, pull, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -974,6 +1012,38 @@ def test_config_validation():
         run_trajectories(net, pol, SimConfig(x0=(1, 2, 3), steps=2, trials=2))
     with pytest.raises(ConstructionError):
         run_trajectories(net, pol, SimConfig(x0=(-1, 0), steps=2, trials=2))
+
+
+@pytest.mark.parametrize("field", ["seed", "steps", "trials", "cap"])
+@pytest.mark.parametrize("value", [True, False, 1.5, 2.0, "3", None])
+def test_config_counts_must_be_integers(field, value):
+    # A bool would run as 0 or 1, and a float would fail later with a bare TypeError.
+    with pytest.raises(ConstructionError, match=f"^{field} must be an integer"):
+        SimConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SimConfig(seed=np.int64(3), steps=np.int32(4), trials=np.uint8(2), cap=np.int64(4),
+                    x0=(np.int64(1), np.int8(0)))
+    pol = make_policy(critical_pp(), "pull-priority")
+    assert run_trajectories(critical_pp(), pol, cfg) == run_trajectories(
+        critical_pp(), pol, SimConfig(seed=3, steps=4, trials=2, cap=4, x0=(1, 0)))
+
+
+@pytest.mark.parametrize("x0", [(1.5, 0), (1.0, 0), (True, 0), (0, np.float64(2))])
+def test_start_states_must_be_integers(x0):
+    net = critical_pp()
+    pol = make_policy(net, "pull-priority")
+    with pytest.raises(ConstructionError, match="a queue length must be an integer"):
+        SimConfig(x0=x0, steps=2, trials=2)
+    with pytest.raises(ConstructionError, match="a queue length must be an integer"):
+        step(net, pol, x0, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 1.0, True, "1", None])
+def test_threshold_cutoff_must_be_an_integer(cutoff):
+    with pytest.raises(ConstructionError):
+        make_policy(critical_pp(), "threshold", threshold=cutoff)
 
 
 def test_start_states_keep_int64_headroom():
