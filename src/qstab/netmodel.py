@@ -105,7 +105,9 @@ def check_displacement(disp: Sequence[int], n_queues: int) -> Displacement:
     A displacement either adds one job to a queue, removes one job from a
     queue, or moves one job between two distinct queues.
     """
-    d = tuple(map(int, disp))
+    if not set(map(type, disp)) <= {int}:  # numpy integers pass as ints, bools and floats raise
+        disp = [check_int(x, "a displacement entry") for x in disp]
+    d = tuple(disp)
     if len(d) != n_queues:
         raise ConstructionError(f"displacement {d} has length {len(d)}, expected {n_queues}")
     ups, downs = d.count(1), d.count(-1)
@@ -381,11 +383,11 @@ def build_reentrant(
     for i, stream in enumerate(streams):
         steps = []
         for j, (server, rate) in enumerate(stream):
-            if isinstance(server, bool) or server not in (1, 2):
-                raise ConstructionError(
-                    f"stream {i + 1} step {j}: server must be 1 or 2, got {server!r}"
-                )
-            steps.append((int(server), as_rate(rate)))
+            where = f"stream {i + 1} step {j}: server"
+            server = check_int(server, where)
+            if server not in (1, 2):
+                raise ConstructionError(f"{where} must be 1 or 2, got {server!r}")
+            steps.append((server, as_rate(rate)))
         if len(steps) < 2:
             raise ConstructionError(f"stream {i + 1} needs at least two steps")
         parsed.append(tuple(steps))

@@ -12,9 +12,13 @@ Reproducibility contract
   ones); the substream seed of trial t = splitmix64(seed + (t+1) *
   golden), see :func:`substream_seed`; this mixing function is normative,
   and :func:`trial_rng` is the normative stream of trial t. The engine
-  builds those streams a batch at a time (:func:`_pcg64_states`) and
-  draws them through one reused PCG64, after checking once per process
-  that one such stream equals ``trial_rng``'s.
+  builds those streams a batch at a time, as the 64-bit words of each
+  trial's PCG64 state and increment (:func:`_pcg64_states`), and draws
+  them through one reused PCG64 by writing a trial's words straight into
+  that generator's state memory (:class:`_Streams`). Once per process it
+  reads the word layout of numpy's PCG64 from a known state, raising on
+  an unknown one, and checks that two such streams, across a refill,
+  equal ``trial_rng``'s.
 * the start state's total (0 for the default origin) plus max(steps,
   cap) stays below 2**63, so no queue length or total overflows the
   engine's int64 states; :class:`SimConfig` refuses anything larger.
@@ -35,6 +39,7 @@ Identical (network, policy, config) therefore yield bit-identical reports.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -60,7 +65,6 @@ from .netmodel import (
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK = 256       # uniforms pregenerated per trial per refill
 _BATCH = 4096      # trials simulated in lockstep per batch
@@ -89,14 +93,41 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> tuple[list[int], list[int]]:
-    """The PCG64 ``(state, inc)`` of ``trial_rng(seed, t)`` for t in [start, stop).
+def _add128(a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
+    """The (lo, hi) words of a + b mod 2**128, given each value's words."""
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo)
 
-    The same three steps as ``trial_rng``, on a whole batch: splitmix64 on
-    uint64 arrays (:func:`substream_seed`), ``SeedSequence(z)
+
+def _mul128(lo: np.ndarray, hi: np.ndarray, factor: int):
+    """The (lo, hi) words of (hi * 2**64 + lo) * factor mod 2**128.
+
+    The high word of lo * (factor's low word) comes from four 32 x 32 -> 64
+    bit limb products; every other term wraps mod 2**64.
+    """
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    f_lo, f_hi = np.uint64(factor & _MASK64), np.uint64(factor >> 64)
+    x0, x1 = lo & m32, lo >> s32
+    y0, y1 = f_lo & m32, f_lo >> s32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> s32) + (p01 & m32) + (p10 & m32)
+    carry = x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    return lo * f_lo, carry + lo * f_hi + hi * f_lo
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 state words of ``trial_rng(seed, t)`` for t in [start, stop).
+
+    Row t - start is ``[state_lo, state_hi, inc_lo, inc_hi]``, the 64-bit
+    words of the 128-bit state and increment, in one C-contiguous (B x 4)
+    uint64 array. The same three steps as ``trial_rng``, on a whole batch:
+    splitmix64 on uint64 arrays (:func:`substream_seed`), ``SeedSequence(z)
     .generate_state(4, np.uint64)`` on uint32 arrays, and PCG64's setseq
-    initialisation on Python ints. A seed z below 2**32 has one entropy
-    word, but the pool pads it with hashmix(0), exactly like a zero high word.
+    initialisation on uint64 words: with the seed words s0..s3 read as
+    init = s0 * 2**64 + s1 and seq = s2 * 2**64 + s3, inc = (seq << 1) | 1
+    and state = (inc + init) * _PCG64_MULT + inc, mod 2**128. A seed z below
+    2**32 has one entropy word, but the pool pads it with hashmix(0), exactly
+    like a zero high word.
     """
     def shift_xor(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint32(16))
@@ -130,45 +161,83 @@ def _pcg64_states(seed: int, start: int, stop: int) -> tuple[list[int], list[int
         value = pool[i % 4] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
         words.append(shift_xor(value * np.uint32(hash_const)).astype(np.uint64))
-    w0, w1, w2, w3 = ((words[2 * k] | words[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
-    states, incs = [], []
-    for a, b, c, d in zip(w0, w1, w2, w3):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128)
-        incs.append(inc)
-    return states, incs
+    s0, s1, s2, s3 = (words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4))
+    one = np.uint64(1)
+    inc = (s3 << one | one, s2 << one | s3 >> np.uint64(63))
+    state = _add128(*_mul128(*_add128(*inc, s1, s0), _PCG64_MULT), *inc)
+    return np.stack([*state, *inc], axis=1)
+
+
+def _state_view(bitgen: np.random.PCG64) -> np.ndarray:
+    """A writable uint64 view of the four words of ``bitgen``'s 128-bit state and increment.
+
+    ``bitgen.ctypes.state_address`` points at numpy's ``pcg64_state``
+    struct, whose first member points at the ``pcg_state`` words. The view
+    does not own that memory: keep ``bitgen`` alive as long as the view.
+    """
+    words = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(words), dtype=np.uint64)
+
+
+@cache
+def _word_order() -> tuple[int, ...]:
+    """The columns of :func:`_pcg64_states` in the order this numpy build stores them.
+
+    A build with a native uint128 stores each 128-bit value as [lo, hi], one
+    without it as [hi, lo]. Read once per process, by setting a known state
+    through the ``state`` dict; any other layout raises RuntimeError.
+    """
+    bitgen = np.random.PCG64(0)
+    known = bitgen.state
+    known["state"] = {"state": 5 << 64 | 7, "inc": 9 << 64 | 11}
+    bitgen.state = known
+    got = tuple(_state_view(bitgen).tolist())
+    layouts = {(7, 5, 11, 9): (0, 1, 2, 3), (5, 7, 9, 11): (1, 0, 3, 2)}
+    if got not in layouts:
+        raise RuntimeError(
+            f"numpy {np.__version__} stores PCG64's state in an unknown layout: state "
+            f"5 * 2**64 + 7 with inc 9 * 2**64 + 11 reads as the words {list(got)}"
+        )
+    return layouts[got]
 
 
 class _Streams:
-    """The ``trial_rng`` streams of trials start..stop-1, drawn through ``gen``,
-    whose PCG64 takes each stream's state in turn."""
+    """The ``trial_rng`` streams of trials start..stop-1, drawn through ``gen``.
+
+    ``words`` holds each stream's PCG64 state words in this build's layout
+    (:func:`_word_order`) and ``view`` is gen's own state words (:func:`_state_view`);
+    ``fill`` copies a stream's row into the view, draws, and copies it back
+    when the stream has a later refill. Holding ``gen`` keeps the view's
+    memory alive.
+    """
 
     def __init__(self, gen: np.random.Generator, seed: int, start: int, stop: int):
         self.gen = gen
-        self.bitgen = gen.bit_generator
-        self.states, self.incs = _pcg64_states(seed, start, stop)
+        self.view = _state_view(gen.bit_generator)
+        self.words = _pcg64_states(seed, start, stop)[:, _word_order()]
 
     def fill(self, rows: Sequence[int], out: np.ndarray, keep: bool) -> None:
         """Draw ``out[i]`` from stream i for each i in ``rows``; with ``keep``,
         the next fill of those streams continues where this one stopped."""
-        template = self.bitgen.state
-        pcg = template["state"]
+        words, view, draw = self.words, self.view, self.gen.random
         for i in rows:
-            pcg["state"], pcg["inc"] = self.states[i], self.incs[i]
-            self.bitgen.state = template
-            self.gen.random(out=out[i])
+            view[...] = words[i]
+            draw(out=out[i])
             if keep:
-                self.states[i] = self.bitgen.state["state"]["state"]
+                words[i] = view
 
 
 @cache
 def _check_batch_seeding() -> None:
-    """Compare one batch-seeded stream with ``trial_rng`` once per process."""
+    """Compare two batch-seeded streams with ``trial_rng`` once per process,
+    across a refill boundary: the second refill continues from the state
+    words read back after the first."""
     seed, trial = _MASK64, 1 << 40
-    got = np.empty((1, 8))
-    streams = _Streams(np.random.Generator(np.random.PCG64(0)), seed, trial, trial + 1)
-    streams.fill([0], got, keep=False)
-    if not np.array_equal(got[0], trial_rng(seed, trial).random(8)):
+    got = np.empty((2, 16))
+    streams = _Streams(np.random.Generator(np.random.PCG64(0)), seed, trial, trial + 2)
+    streams.fill([0, 1], got[:, :8], keep=True)
+    streams.fill([0, 1], got[:, 8:], keep=False)
+    if not np.array_equal(got, [trial_rng(seed, t).random(16) for t in (trial, trial + 1)]):
         raise RuntimeError(
             f"numpy {np.__version__} seeds PCG64 differently from the simulator's batch "
             "seeder, so its streams would not be those of trial_rng"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,6 +283,27 @@ def test_custom_rejects_bad_displacements():
             build_custom(3, [("ok", [((1, 0, 0), 1)]), ("bad", [((0, 1, 0), 1), (disp, 1)])])
     with pytest.raises(ConstructionError, match=r"has length 2, expected 3"):
         build_custom(3, [("short", [((1, 0), 1)])])
+
+
+
+@pytest.mark.parametrize("disp", [(1.7, -0.2), (1.0, 0), (True, 0), (0, False), ("1", 0)])
+def test_custom_displacement_entries_must_be_integers(disp):
+    # int() would truncate (1.7, -0.2) to (1, 0) and read True as 1
+    with pytest.raises(ConstructionError, match="a displacement entry must be an integer"):
+        build_custom(2, [("a", [(disp, 1)])])
+
+
+def test_numpy_integer_displacement_entries_are_ints():
+    net = build_custom(2, [("a", [((np.int64(1), np.int8(0)), 1)])])
+    (d, _), = net.menus[0][0].outcomes
+    assert d == (1, 0) and all(type(x) is int for x in d)
+
+
+@pytest.mark.parametrize("server", [1.0, 2.0, True])
+def test_reentrant_servers_must_be_integers(server):
+    message = f"stream 1 step 0: server must be an integer, got {server!r}"
+    with pytest.raises(ConstructionError, match=message):
+        build_reentrant([[(server, 1), (2, 1)]])
 
 
 # ---------------------------------------------------------------------------

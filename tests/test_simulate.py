@@ -15,7 +15,7 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstab import simulate
@@ -92,6 +92,87 @@ def test_batch_seeded_streams_are_the_trial_streams(seed, start, trials):
     streams.fill(range(trials), out[:, simulate._CHUNK:], keep=False)
     for i in range(trials):
         assert np.array_equal(out[i], trial_rng(seed, start + i).random(n))
+
+
+def _unsplitmix(z: int) -> int:
+    """The x with splitmix64's finaliser mapping x to z (each step is a bijection)."""
+    mask = 2**64 - 1
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+        x = z
+        for _ in range(64 // shift + 1):
+            x = z ^ (x >> shift)
+        z = x if mult is None else x * pow(mult, -1, 2**64) & mask
+    return z
+
+
+# seed + 1 * golden is the pre-image of 12345, so trial 0's seed has one 32-bit entropy word
+_ONE_WORD_SEED = (_unsplitmix(12345) - simulate._GOLDEN) % 2**64
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40 - 1), st.integers(1, 8))
+@example(0, 0, 8)
+@example(2**64 - 1, 0, 8)
+@example(_ONE_WORD_SEED, 0, 1)
+@example(-3 * simulate._GOLDEN % 2**64, 0, 4)  # seed + (t+1) * golden wraps from t = 2 on
+def test_batch_seeding_words_are_the_pcg64_states(seed, start, trials):
+    words = simulate._pcg64_states(seed, start, start + trials)
+    assert words.dtype == np.uint64 and words.shape == (trials, 4) and words.flags.c_contiguous
+    for i, row in enumerate(words.tolist()):
+        pcg = np.random.PCG64(substream_seed(seed, start + i)).state["state"]
+        split = [w for v in (pcg["state"], pcg["inc"]) for w in (v & (2**64 - 1), v >> 64)]
+        assert row == split
+
+
+def test_one_word_seed_example_has_one_entropy_word():
+    assert substream_seed(_ONE_WORD_SEED, 0) == 12345
+
+
+def test_refill_of_a_subset_leaves_retired_rows_alone():
+    # As in return-time: rows 1, 3 and 4 retire after the first refill.
+    seed, n = 2**63 + 5, 20
+    gen = np.random.Generator(np.random.PCG64(0))
+    streams = simulate._Streams(gen, seed, 7, 13)
+    out = np.full((6, 2 * n), np.nan)
+    streams.fill(range(6), out[:, :n], keep=True)
+    before = streams.words.copy()
+    kept = [0, 2, 5]
+    streams.fill(kept, out[:, n:], keep=True)
+    for i in range(6):
+        want = trial_rng(seed, 7 + i).random(2 * n)
+        if i in kept:
+            assert np.array_equal(out[i], want)
+        else:
+            assert np.array_equal(out[i, :n], want[:n]) and np.isnan(out[i, n:]).all()
+            assert np.array_equal(streams.words[i], before[i])
+    assert not np.array_equal(streams.words[kept], before[kept])
+
+
+def _unchecked_seeding(monkeypatch):
+    monkeypatch.setattr(simulate, "_check_batch_seeding", simulate._check_batch_seeding.__wrapped__)
+    return pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64 differently")
+
+
+def test_swapped_word_order_is_caught(monkeypatch):
+    order = simulate._word_order()
+    swapped = [order[1], order[0], *order[2:]]
+    monkeypatch.setattr(simulate, "_word_order", lambda: swapped)
+    with _unchecked_seeding(monkeypatch):
+        simulate._check_batch_seeding()
+
+
+@pytest.mark.parametrize("bit", [1, 63, 64, 127])
+def test_wrong_pcg64_multiplier_is_caught(monkeypatch, bit):
+    monkeypatch.setattr(simulate, "_PCG64_MULT", simulate._PCG64_MULT ^ 1 << bit)
+    with _unchecked_seeding(monkeypatch):
+        simulate._check_batch_seeding()
+
+
+def test_unknown_state_layout_raises(monkeypatch):
+    monkeypatch.setattr(simulate, "_state_view", lambda bitgen: np.zeros(4, dtype=np.uint64))
+    message = f"numpy {np.__version__} stores PCG64's state in an unknown layout"
+    with pytest.raises(RuntimeError, match=message):
+        simulate._word_order.__wrapped__()
 
 
 def test_batch_seeding_is_checked_against_trial_rng(monkeypatch):
