@@ -6,8 +6,10 @@ weighted queue length a martingale under every non-idling policy; if in
 addition every action can actually change the weighted length (the
 non-degeneracy condition), no policy can make the network positive
 recurrent. This module computes D exactly, decides exactly whether such
-an alpha exists, builds one when it does (the family closed form where
-one applies), and packages the result as a machine-checkable certificate.
+an alpha exists, builds one from the null space of D when it does, and
+packages the result as a machine-checkable certificate. The family closed
+forms (:func:`family_alpha`) are a separate, independent path to the same
+weights, checked against D; certification never uses them.
 
 Everything here is exact rational arithmetic; the simulator corroborates
 verdicts statistically but plays no role in them.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -46,9 +48,9 @@ class DriftMatrix:
 
     Entry k of row a is ``numerators[a][k] / scales[a]``. The scale of an
     action is its total rate written over the least common denominator of
-    its outcome rates, and each numerator is the signed sum of the outcome
-    rates over that denominator, so every scale is positive and every
-    entry lies in [-1, 1]; both are checked.
+    the outcome rates of its choices, and each numerator is the signed sum
+    of those rates over that denominator, so every scale is positive and
+    every entry lies in [-1, 1]; both are checked.
     """
 
     numerators: tuple[tuple[int, ...], ...]
@@ -90,10 +92,6 @@ class SignMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     @property
-    def n_actions(self) -> int:
-        return len(self.rows)
-
-    @property
     def n_queues(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
@@ -113,16 +111,23 @@ class HarmonicCertificate:
     when ``alpha`` is not None, and the report's ``nondegeneracy.direct``
     is that same fact. INCONCLUSIVE means that no such alpha exists; the
     condition is sufficient, not necessary, so it never asserts stability.
+    ``verdict`` and ``rank`` are derived from ``alpha`` and the basis.
     """
 
-    verdict: Verdict
     alpha: tuple[Fraction, ...] | None
     nondeg_lemma: bool
-    rank: int
     n_queues: int
     n_actions: int
     critical: bool | None
     null_space_basis: tuple[tuple[int, ...], ...]
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.INCONCLUSIVE if self.alpha is None else Verdict.NON_STABILIZABLE
+
+    @property
+    def rank(self) -> int:
+        return self.n_queues - len(self.null_space_basis)
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,9 +150,10 @@ def drift_matrix(net: NetworkSpec) -> DriftMatrix:
     """Expected displacement of each action, rows in action-id order.
 
     Rows with zero drift (balanced actions) are kept so the matrix shape
-    stays L x M. Needs the materialized action list.
+    stays L x M. Each row reads the choices its action id names; no action
+    is built, but the ids are refused above ``MAX_ACTIONS``.
     """
-    return _drift_rows((act.outcomes for act in net.actions), net.n_queues)
+    return _drift_rows(map(net.choices, range(net.listable_actions())), net.n_queues)
 
 
 def spanning_drift_matrix(net: NetworkSpec) -> DriftMatrix:
@@ -165,22 +171,19 @@ def spanning_drift_matrix(net: NetworkSpec) -> DriftMatrix:
     vectors = [first]
     for s, menu in enumerate(net.menus):
         vectors += [first[:s] + [choice] + first[s + 1:] for choice in menu[1:]]
-    return _drift_rows(
-        ([o for choice in vec for o in choice.outcomes] for vec in vectors), net.n_queues
-    )
+    return _drift_rows(vectors, net.n_queues)
 
 
-def _drift_rows(
-    actions: Iterable[Sequence[tuple[Displacement, Fraction]]], n_queues: int
-) -> DriftMatrix:
-    """One drift row per outcome list, built in integers.
+def _drift_rows(vectors: Iterable[Sequence[Choice]], n_queues: int) -> DriftMatrix:
+    """One drift row per choice vector, built in integers.
 
-    The outcome rates over their least common denominator are the
-    weights, and the row's scale is their sum.
+    The outcome rates of the vector's choices over their least common
+    denominator are the weights, and the row's scale is their sum.
     """
     entries: dict[Displacement, list[tuple[int, int]]] = {}
     numerators, scales = [], []
-    for outcomes in actions:
+    for vec in vectors:
+        outcomes = [o for choice in vec for o in choice.outcomes]
         weights, _ = integer_weights(rate for _, rate in outcomes)
         row = [0] * n_queues
         for (d, _), w in zip(outcomes, weights):
@@ -318,19 +321,6 @@ def _signed_work(step: tuple[int, Fraction]) -> Fraction:
     return (-1 if server == 1 else 1) / rate
 
 
-def _closed_form(net: NetworkSpec) -> tuple[Fraction, ...] | None:
-    """The family closed-form weights where they apply, not yet checked against D."""
-    meta = net.meta
-    if meta is None or not is_critical(net):
-        return None
-    if isinstance(meta, RingMeta):
-        if net.n_queues % 2 != 0:
-            return None
-        return tuple((1 if i % 2 == 0 else -1) / rate for i, rate in enumerate(meta.push_rates))
-    # Queue j of a stream weighs the signed work of its steps 0..j-1; queues run stream by stream.
-    return tuple(w for stream in meta.streams for w in accumulate(map(_signed_work, stream[:-1])))
-
-
 def ring_alpha_even(net: NetworkSpec) -> tuple[Fraction, ...]:
     """Closed-form harmonic weights for a critical ring with evenly many servers.
 
@@ -363,20 +353,25 @@ def family_alpha(net: NetworkSpec) -> tuple[Fraction, ...] | None:
     """The family closed-form weight vector, or None when not applicable.
 
     Applicable to critical push-pull networks, critical rings with evenly
-    many servers, and critical re-entrant networks.
+    many servers, and critical re-entrant networks. The weights are
+    checked against the spanning rows of D. Where they apply, the null
+    space of D is one-dimensional, so they are a multiple of the basis
+    vector that certification finds.
     """
-    alpha = _closed_form(net)
-    if alpha is not None:
-        _assert_harmonic(spanning_drift_matrix(net), alpha)
-    return alpha
-
-
-def _assert_harmonic(d: DriftMatrix, alpha: Sequence[Fraction]) -> tuple[int, ...]:
-    """The canonical integer form of closed-form weights, checked against the numerators of D."""
-    vec = exactla.normalize_integer_vector(alpha)
-    if not all(sum(r * a for r, a in zip(row, vec) if r) == 0 for row in d.numerators):
+    meta = net.meta
+    if meta is None or not is_critical(net):
+        return None
+    if isinstance(meta, RingMeta):
+        if net.n_queues % 2 != 0:
+            return None
+        alpha = tuple((1 if i % 2 == 0 else -1) / rate for i, rate in enumerate(meta.push_rates))
+    else:
+        # Queue j of a stream weighs the signed work of its steps 0..j-1, stream by stream.
+        alpha = tuple(w for s in meta.streams for w in accumulate(map(_signed_work, s[:-1])))
+    d = spanning_drift_matrix(net)
+    if any(sum(r * a for r, a in zip(row, alpha) if r) for row in d.numerators):
         raise ArithmeticError("internal error: closed-form weights are not harmonic")
-    return vec
+    return alpha
 
 
 def verify_unit_pairing(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
@@ -400,25 +395,17 @@ def verify_unit_pairing(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bo
 
 
 def _certificate_alpha(
-    net: NetworkSpec,
-    basis: Sequence[tuple[int, ...]],
-    closed: tuple[int, ...] | None,
+    net: NetworkSpec, basis: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...] | None:
     """A null space vector every action can move, or None when none exists."""
     if not basis or not _moves_every_action(basis, net.menus):
         return None
     last_t = max(map(len, net.menus)) * (len(basis) - 1) + 1
-
-    def candidates():
-        if closed is not None:
-            yield closed
-        yield from basis
-        for t in range(1, last_t + 1):
-            yield tuple(
-                sum(t**k * b[i] for k, b in enumerate(basis)) for i in range(net.n_queues)
-            )
-
-    for cand in candidates():
+    alphas = (
+        tuple(sum(t**k * b[i] for k, b in enumerate(basis)) for i in range(net.n_queues))
+        for t in range(1, last_t + 1)
+    )
+    for cand in chain(basis, alphas):
         if _moves_every_action([cand], net.menus):
             return exactla.normalize_integer_vector(cand)
     raise ArithmeticError("internal error: no weight vector alpha(t) moves every action")
@@ -435,9 +422,10 @@ def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
     a vector space over the rationals is not a finite union of proper
     subspaces.
 
-    The certificate is the first candidate that every action can move: the
-    family closed form (checked against D), then each basis vector, then
-    alpha(t) = sum_k t^(k-1) b_k for t = 1, 2, .... A choice is blocked
+    The certificate is the first candidate that every action can move:
+    each basis vector, then alpha(t) = sum_k t^(k-1) b_k for t = 1, 2,
+    .... No family closed form is tried: where one applies the null space
+    is one-dimensional, so it would give b_1 again. A choice is blocked
     like an action. When no action is blocked, some server s has no
     blocked choice, or the action made of every server's blocked choice
     would be blocked. For each choice c of s, alpha(t).d is a nonzero
@@ -452,17 +440,11 @@ def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
     the verdict is INCONCLUSIVE with the null space basis attached: no
     certificate exists, which does not assert stability either.
     """
-    d = spanning_drift_matrix(net)
-    basis = tuple(null_space_basis(d))
-    rk = net.n_queues - len(basis)
+    basis = tuple(null_space_basis(spanning_drift_matrix(net)))
+    found = _certificate_alpha(net, basis)
+    alpha = None if found is None else tuple(map(Fraction, found))
     critical = None if net.family == "custom" else is_critical(net)
-    closed = _closed_form(net)
-    if closed is not None:
-        closed = _assert_harmonic(d, closed)
-    found = _certificate_alpha(net, basis, closed)
-    alpha = None if found is None else tuple(Fraction(x) for x in found)
     return HarmonicCertificate(
-        Verdict.INCONCLUSIVE if alpha is None else Verdict.NON_STABILIZABLE,
         alpha, alpha is not None and check_nondegeneracy_lemma(net, alpha),
-        rk, net.n_queues, net.n_actions, critical, basis,
+        net.n_queues, net.n_actions, critical, basis,
     )

@@ -125,15 +125,22 @@ class ActionSpec:
     Outcomes are stored merged (distinct displacements) and sorted
     lexicographically by displacement; this canonical order is also the
     normative order for cumulative-sum sampling in the simulator.
-    ``drains`` lists the queues some outcome decrements, i.e. the queues
-    that must be nonempty for the action to be available.
+    ``total_rate`` and ``drains`` are derived from the outcomes on first
+    use; ``drains`` lists the queues some outcome decrements, i.e. the
+    queues that must be nonempty for the action to be available.
     """
 
     id: int
     label: str
     outcomes: tuple[tuple[Displacement, Fraction], ...]
-    total_rate: Fraction
-    drains: frozenset[int]
+
+    @cached_property
+    def total_rate(self) -> Fraction:
+        return sum(r for _, r in self.outcomes)
+
+    @cached_property
+    def drains(self) -> frozenset[int]:
+        return frozenset(d.index(-1) for d, _ in self.outcomes if -1 in d)
 
     @property
     def support(self) -> tuple[Displacement, ...]:
@@ -171,10 +178,7 @@ def _combine(action_id: int, choices: Sequence[Choice]) -> ActionSpec:
     for choice in choices:
         for d, r in choice.outcomes:
             merged[d] = merged[d] + r if d in merged else r
-    ordered = tuple(sorted(merged.items()))
-    weights, scale = integer_weights(merged.values())
-    drains = frozenset(d.index(-1) for d in merged if -1 in d)
-    return ActionSpec(action_id, label, ordered, Fraction(sum(weights), scale), drains)
+    return ActionSpec(action_id, label, tuple(sorted(merged.items())))
 
 
 def integer_weights(rates: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -287,16 +291,20 @@ class NetworkSpec:
         """Every action in id order, built on first use."""
         return tuple(map(self.action, range(self.listable_actions())))
 
-    def action(self, action_id: int) -> ActionSpec:
-        """One action, built from the choices its id names without listing the others."""
-        if not 0 <= action_id < self.n_actions:
+    def choices(self, action_id: int) -> tuple[Choice, ...]:
+        """The choice of each server that action ``action_id`` takes."""
+        if not 0 <= check_int(action_id, "an action id") < self.n_actions:
             raise ConstructionError(f"unknown action id {action_id}")
         index = action_id if self.ids is None else self.ids.index(action_id)
         choices = []
         for menu in reversed(self.menus):
             index, k = divmod(index, len(menu))
             choices.append(menu[k])
-        return _combine(action_id, choices[::-1])
+        return tuple(choices[::-1])
+
+    def action(self, action_id: int) -> ActionSpec:
+        """One action, built from the choices its id names without listing the others."""
+        return _combine(action_id, self.choices(action_id))
 
     def labels(self) -> dict[str, int]:
         return {a.label: a.id for a in self.actions}

@@ -59,7 +59,6 @@ from .netmodel import (
     check_int,
     check_state,
     format_rational,
-    index_sets,
     integer_weights,
 )
 
@@ -328,8 +327,8 @@ class ReturnTimeStats(_Report):
 class MartingaleReport(_Report):
     """Empirical drift of the weighted queue length Z = alpha'X.
 
-    ``bound`` is the exact supremum of one-step |dZ| implied by the
-    displacement shapes; ``max_abs_increment`` never exceeds it.
+    ``bound`` is the largest exact one-step |dZ| over the network's
+    displacements; ``max_abs_increment`` never exceeds it.
     """
 
     mean_delta_Z: float
@@ -490,12 +489,19 @@ def make_policy(
         ``resolver=lambda z: table.get(z, default)``. Availability is
         validated at every step.
 
-    Every policy is a batch map; built-in kinds choose a batch in one call.
+    A ``threshold`` belongs to the threshold kind and a ``resolver`` to
+    the custom kind only; either one given to another kind raises
+    ConstructionError. Every policy is a batch map; built-in kinds choose
+    a batch in one call.
     Policies index the network's action list, so a network with more than
     ``netmodel.MAX_ACTIONS`` actions raises ConstructionError.
     """
     if kind not in POLICY_KINDS:
         raise ConstructionError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
+    if threshold is not None and kind != "threshold":
+        raise ConstructionError(f"policy kind {kind!r} takes no threshold")
+    if resolver is not None and kind != "custom":
+        raise ConstructionError(f"policy kind {kind!r} takes no resolver")
     # A policy picks rows of the action list, so a network too large to list has none.
     n_actions = net.listable_actions()
     if kind == "custom":
@@ -726,11 +732,9 @@ def martingale_test(
     vec = tuple(Fraction(x) for x in alpha)
     if len(vec) != net.n_queues:
         raise ConstructionError(f"alpha has length {len(vec)}, expected {net.n_queues}")
-    sets = index_sets(net)
-    candidates = [abs(vec[i]) for i in sets.external]
-    candidates += [abs(vec[i] - vec[j]) for i, j in sets.transfers]
+    distinct = {d for menu in net.menus for choice in menu for d in choice.support}
     try:
-        bound = float(max(candidates)) if candidates else 0.0
+        bound = float(max(abs(sum(a * x for a, x in zip(vec, d) if x)) for d in distinct))
     except OverflowError:
         raise ValueError("alpha is too large: its increment bound overflows a float") from None
     tables = _Tables(net, alpha=vec)

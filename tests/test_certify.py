@@ -424,6 +424,65 @@ def test_ring_rank_dichotomy_small_sweep():
                 assert exactla.normalize_integer_vector(alpha) == basis[0]
 
 
+@st.composite
+def closed_form_nets(draw):
+    """Critical push-pull networks, critical even rings and critical re-entrant networks.
+
+    A re-entrant stream draws 1-4 steps with random servers and rates.
+    Unless they balance already, a last step then goes to the server they
+    left short of work, at the rate that balances the stream exactly.
+    """
+    rate = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+    kind = draw(st.sampled_from(["pushpull", "ring", "reentrant"]))
+    if kind == "pushpull":
+        lam = draw(st.lists(rate, min_size=2, max_size=2))
+        return build_push_pull(*lam, *lam)
+    if kind == "ring":
+        m = draw(st.sampled_from([2, 4, 6]))
+        lam = draw(st.lists(rate, min_size=m, max_size=m))
+        return build_ring(lam, lam)
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        steps = draw(st.lists(st.tuples(st.sampled_from([1, 2]), rate), min_size=1, max_size=4))
+        work = sum((1 if s == 2 else -1) / r for s, r in steps)  # server 2's excess
+        if work:
+            steps.append((1, 1 / work) if work > 0 else (2, -1 / work))
+        streams.append(steps)
+    return build_reentrant(streams)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(closed_form_nets())
+def test_closed_form_is_the_one_null_space_direction(net):
+    # Where a closed form applies the null space is one-dimensional, so the
+    # certificate found from the null space alone is the closed form.
+    assert is_critical(net)
+    basis = null_space_basis(drift_matrix(net))
+    assert len(basis) == 1
+    alpha = exactla.normalize_integer_vector(family_alpha(net))
+    assert alpha == basis[0]
+    assert certify_nonstabilizable(net).alpha == alpha
+
+
+def test_the_exact_engine_lists_no_actions():
+    for net in (build_push_pull(1, 1, 1, 1), build_ring([1, 2, 3, 4], [1, 2, 3, 4]),
+                build_two_stream_example()):
+        for exact in (certify_nonstabilizable, drift_matrix, family_alpha):
+            exact(net)
+            assert "actions" not in net.__dict__, exact.__name__
+
+
+def test_verdict_and_rank_are_derived():
+    names = {f.name for f in dataclasses.fields(certify.HarmonicCertificate)}
+    assert not names & {"verdict", "rank"}
+    for net, verdict, rk in ((build_push_pull(1, 1, 1, 1), Verdict.NON_STABILIZABLE, 1),
+                             (build_push_pull(1, 1, 2, 2), Verdict.INCONCLUSIVE, 2),
+                             (swap_network(3), Verdict.NON_STABILIZABLE, 0)):
+        cert = certify_nonstabilizable(net)
+        assert (cert.verdict, cert.rank) == (verdict, rk)
+        assert cert.rank == rank(drift_matrix(net))
+
+
 def test_reentrant_rows_annihilate_alpha():
     net = build_two_stream_example()
     alpha = reentrant_alpha(net)

@@ -221,7 +221,7 @@ def test_certificate_search_needs_only_the_menu_bound(net, data):
     candidates = basis + [alpha(t) for t in range(1, net.n_actions * (n - 1) + 2)]
     expected = next((normalize_integer_vector(c) for c in candidates
                      if any(c) and loop_direct(net, c)), None)
-    assert certify._certificate_alpha(net, basis, None) == expected
+    assert certify._certificate_alpha(net, basis) == expected
 
 
 def test_one_action_is_the_row_of_the_action_list():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -227,6 +228,22 @@ def test_transition_distribution_unknown_action():
     net = build_push_pull(1, 1, 1, 1)
     with pytest.raises(ConstructionError):
         transition_distribution(net, 17)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1", None, -1, 4])
+def test_action_ids_must_be_integers_in_range(bad):
+    # bools and floats do not stand in for an id, and every bad id is a ConstructionError
+    net = build_push_pull(1, 1, 1, 1)
+    for decode in (net.choices, net.action, lambda a: transition_distribution(net, a)):
+        with pytest.raises(ConstructionError):
+            decode(bad)
+    assert net.action(np.int64(1)) == net.action(1) == net.actions[1]
+
+
+def test_an_action_stores_only_its_outcomes():
+    assert [f.name for f in dataclasses.fields(netmodel.ActionSpec)] == ["id", "label", "outcomes"]
+    act = build_push_pull(1, 2, 3, 4).action(2)  # (push, pull): +e1 at 1, -e1 at 3
+    assert act.total_rate == 4 and act.drains == frozenset({0})
 
 
 @settings(max_examples=60, deadline=None)

@@ -256,6 +256,23 @@ def test_unsupported_policy_combinations():
         make_policy(custom_net, "pull-priority")
 
 
+@pytest.mark.parametrize("kind, kwargs", [
+    ("push-priority", {"resolver": lambda z: 1}),
+    ("pull-priority", {"threshold": 7}),
+    ("threshold", {"threshold": 1, "resolver": lambda z: 1}),
+    ("custom", {"resolver": lambda z: 1, "threshold": 0}),
+])
+def test_policy_arguments_of_another_kind_are_refused(kind, kwargs):
+    with pytest.raises(ConstructionError, match=f"policy kind '{kind}' takes no"):
+        make_policy(critical_pp(), kind, **kwargs)
+
+
+def test_policy_arguments_left_none_are_accepted():
+    net = critical_pp()
+    assert make_policy(net, "pull-priority", threshold=None, resolver=None).resolve((1, 1)) == 1
+    assert make_policy(net, "custom", threshold=None, resolver=lambda z: 2).resolve((1, 1)) == 2
+
+
 def test_custom_table_policy():
     # A finite table with a default id is a resolver.
     net = critical_pp()
