@@ -28,10 +28,10 @@ from typing import Iterable, Sequence
 from . import exactla
 from .netmodel import (
     Choice,
-    Displacement,
     NetworkSpec,
     ReentrantMeta,
     RingMeta,
+    check_alpha,
     format_rational,
     index_sets,
     integer_weights,
@@ -153,7 +153,7 @@ def drift_matrix(net: NetworkSpec) -> DriftMatrix:
     stays L x M. Each row reads the choices its action id names; no action
     is built, but the ids are refused above ``MAX_ACTIONS``.
     """
-    return _drift_rows(map(net.choices, range(net.listable_actions())), net.n_queues)
+    return _drift_rows(net, map(net.choices, range(net.listable_actions())))
 
 
 def spanning_drift_matrix(net: NetworkSpec) -> DriftMatrix:
@@ -171,26 +171,23 @@ def spanning_drift_matrix(net: NetworkSpec) -> DriftMatrix:
     vectors = [first]
     for s, menu in enumerate(net.menus):
         vectors += [first[:s] + [choice] + first[s + 1:] for choice in menu[1:]]
-    return _drift_rows(vectors, net.n_queues)
+    return _drift_rows(net, vectors)
 
 
-def _drift_rows(vectors: Iterable[Sequence[Choice]], n_queues: int) -> DriftMatrix:
+def _drift_rows(net: NetworkSpec, vectors: Iterable[Sequence[Choice]]) -> DriftMatrix:
     """One drift row per choice vector, built in integers.
 
     The outcome rates of the vector's choices over their least common
     denominator are the weights, and the row's scale is their sum.
     """
-    entries: dict[Displacement, list[tuple[int, int]]] = {}
+    nonzero = net.displacements
     numerators, scales = [], []
     for vec in vectors:
         outcomes = [o for choice in vec for o in choice.outcomes]
         weights, _ = integer_weights(rate for _, rate in outcomes)
-        row = [0] * n_queues
+        row = [0] * net.n_queues
         for (d, _), w in zip(outcomes, weights):
-            nonzero = entries.get(d)
-            if nonzero is None:
-                nonzero = entries[d] = [(k, x) for k, x in enumerate(d) if x]
-            for k, x in nonzero:
+            for k, x in nonzero[d]:
                 row[k] += x * w
         numerators.append(tuple(row))
         scales.append(sum(weights))
@@ -253,15 +250,6 @@ def verify_sign_pattern(dhat: SignMatrix) -> bool:
     return all(_row_sign_pattern_ok(row, dhat.n_queues) for row in dhat.rows)
 
 
-def _check_alpha(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    vec = tuple(Fraction(x) for x in alpha)
-    if len(vec) != net.n_queues:
-        raise ValueError(f"alpha has length {len(vec)}, expected {net.n_queues}")
-    if all(x == 0 for x in vec):
-        raise ValueError("alpha must be nonzero")
-    return vec
-
-
 def check_nondegeneracy_direct(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
     """True iff every action can change the alpha-weighted queue length.
 
@@ -269,13 +257,10 @@ def check_nondegeneracy_direct(net: NetworkSpec, alpha: Sequence[Fraction | int]
     action support condition is equivalent to requiring, at every state
     and available action, a positive probability of changing alpha'X.
     """
-    vec = _check_alpha(net, alpha)
-    return _moves_every_action([vec], net.menus)
+    return _moves_every_action([check_alpha(alpha, net.n_queues)], net)
 
 
-def _moves_every_action(
-    vectors: Sequence[Sequence[Fraction | int]], menus: Sequence[Sequence[Choice]]
-) -> bool:
+def _moves_every_action(vectors: Sequence[Sequence[Fraction | int]], net: NetworkSpec) -> bool:
     """True iff every action has a displacement d with v.d != 0 for some v in vectors.
 
     An action's support is the union of its choices' supports, so some
@@ -283,14 +268,14 @@ def _moves_every_action(
     support is stuck; the test costs one pass over the menus, not one per
     action. Each v.d is computed once per distinct displacement.
     """
-    distinct = set().union(*(choice.support for menu in menus for choice in menu))
-    moving = {d for d in distinct if any(sum(a * x for a, x in zip(v, d) if x) for v in vectors)}
-    return any(all(not moving.isdisjoint(c.support) for c in menu) for menu in menus)
+    moving = {d for d, pairs in net.displacements.items()
+              if any(sum(v[k] * x for k, x in pairs) for v in vectors)}
+    return any(all(not moving.isdisjoint(c.support) for c in menu) for menu in net.menus)
 
 
 def check_nondegeneracy_lemma(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
     """Sufficient index-set test: nonzero on external queues, separating on transfers."""
-    vec = _check_alpha(net, alpha)
+    vec = check_alpha(alpha, net.n_queues)
     sets = index_sets(net)
     if any(vec[i] == 0 for i in sets.external):
         return False
@@ -385,7 +370,7 @@ def verify_unit_pairing(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bo
     """
     if not isinstance(net.meta, ReentrantMeta):
         raise UnsupportedFamilyError("verify_unit_pairing requires a re-entrant network")
-    vec = _check_alpha(net, alpha)
+    vec = check_alpha(alpha, net.n_queues)
     return all(
         rate * sum(a * x for a, x in zip(vec, d) if x) == sign
         for menu, sign in zip(net.menus, (-1, 1))
@@ -398,7 +383,7 @@ def _certificate_alpha(
     net: NetworkSpec, basis: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...] | None:
     """A null space vector every action can move, or None when none exists."""
-    if not basis or not _moves_every_action(basis, net.menus):
+    if not basis or not _moves_every_action(basis, net):
         return None
     last_t = max(map(len, net.menus)) * (len(basis) - 1) + 1
     alphas = (
@@ -406,7 +391,7 @@ def _certificate_alpha(
         for t in range(1, last_t + 1)
     )
     for cand in chain(basis, alphas):
-        if _moves_every_action([cand], net.menus):
+        if _moves_every_action([cand], net):
             return exactla.normalize_integer_vector(cand)
     raise ArithmeticError("internal error: no weight vector alpha(t) moves every action")
 

@@ -86,8 +86,3 @@ def normalize_integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     if first < 0:
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
-    """Exact inner product of two rational vectors."""
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))

@@ -10,8 +10,8 @@ nonempty queue.
 
 Actions are stored factored: each server has a menu of choices, and an
 action is one choice per server whose outcomes are the union of the
-chosen outcomes. The action list is the product of the menus and is only
-built when a caller needs its rows (and refused above ``MAX_ACTIONS``).
+chosen outcomes. An action is built from its id when a caller needs it,
+and listing them all is refused above ``MAX_ACTIONS``.
 
 Three concrete families are provided (the two-server push-pull network, a
 ring of push-pull servers, and two-server re-entrant lines) plus fully
@@ -122,12 +122,12 @@ def check_displacement(disp: Sequence[int], n_queues: int) -> Displacement:
 class ActionSpec:
     """One action: a rate-weighted distribution over displacements.
 
-    Outcomes are stored merged (distinct displacements) and sorted
-    lexicographically by displacement; this canonical order is also the
-    normative order for cumulative-sum sampling in the simulator.
-    ``total_rate`` and ``drains`` are derived from the outcomes on first
-    use; ``drains`` lists the queues some outcome decrements, i.e. the
-    queues that must be nonempty for the action to be available.
+    Built from its id by :meth:`NetworkSpec.action`, never stored. Outcomes
+    are merged (distinct displacements) and sorted lexicographically by
+    displacement, the normative order for cumulative-sum sampling in the
+    simulator. ``total_rate`` and ``drains`` (the queues some outcome
+    decrements, which must be nonempty for the action to be available) are
+    derived from the outcomes on first use.
     """
 
     id: int
@@ -263,7 +263,8 @@ class NetworkSpec:
     choice per server. A custom network has a single server whose menu is
     its action list. Action ids count the choice vectors in mixed radix,
     server 0 most significant, unless ``ids`` maps each such index to an
-    action id.
+    action id. No action list is kept: callers that need every action map
+    :meth:`action` over ``range(listable_actions())``.
     """
 
     n_queues: int
@@ -287,9 +288,11 @@ class NetworkSpec:
         return n
 
     @cached_property
-    def actions(self) -> tuple[ActionSpec, ...]:
-        """Every action in id order, built on first use."""
-        return tuple(map(self.action, range(self.listable_actions())))
+    def displacements(self) -> dict[Displacement, tuple[tuple[int, int], ...]]:
+        """The distinct displacements of the menus in lexicographic order, each
+        mapped to its nonzero ``(queue, entry)`` pairs; built on first use."""
+        distinct = sorted({d for menu in self.menus for choice in menu for d in choice.support})
+        return {d: tuple((k, x) for k, x in enumerate(d) if x) for d in distinct}
 
     def choices(self, action_id: int) -> tuple[Choice, ...]:
         """The choice of each server that action ``action_id`` takes."""
@@ -305,9 +308,6 @@ class NetworkSpec:
     def action(self, action_id: int) -> ActionSpec:
         """One action, built from the choices its id names without listing the others."""
         return _combine(action_id, self.choices(action_id))
-
-    def labels(self) -> dict[str, int]:
-        return {a.label: a.id for a in self.actions}
 
 
 @dataclass(frozen=True)
@@ -325,11 +325,12 @@ class IndexSets:
 def index_sets(net: NetworkSpec) -> IndexSets:
     external: set[int] = set()
     transfers: set[tuple[int, int]] = set()
-    for d in {d for menu in net.menus for choice in menu for d in choice.support}:
-        if 1 in d and -1 in d:
-            transfers.add((d.index(-1), d.index(1)))
+    for pairs in net.displacements.values():
+        if len(pairs) == 1:
+            external.add(pairs[0][0])
         else:
-            external.add(d.index(1) if 1 in d else d.index(-1))
+            (i, x), (j, _) = pairs
+            transfers.add((i, j) if x < 0 else (j, i))
     return IndexSets(frozenset(external), frozenset(transfers))
 
 
@@ -486,6 +487,16 @@ def check_state(z: Sequence[int], n_queues: int) -> State:
     return state
 
 
+def check_alpha(alpha: Sequence[Fraction | int], n_queues: int) -> tuple[Fraction, ...]:
+    """``alpha`` as exact rationals: a weight per queue, not all zero."""
+    vec = tuple(Fraction(x) for x in alpha)
+    if len(vec) != n_queues:
+        raise ConstructionError(f"alpha has length {len(vec)}, expected {n_queues}")
+    if not any(vec):
+        raise ConstructionError("alpha must be nonzero")
+    return vec
+
+
 def available_actions(net: NetworkSpec, z: Sequence[int]) -> set[int]:
     """Ids of the actions that can fire at state z.
 
@@ -493,7 +504,8 @@ def available_actions(net: NetworkSpec, z: Sequence[int]) -> set[int]:
     so no outcome can leave the nonnegative orthant.
     """
     state = check_state(z, net.n_queues)
-    return {a.id for a in net.actions if all(state[k] >= 1 for k in a.drains)}
+    actions = map(net.action, range(net.listable_actions()))
+    return {a.id for a in actions if all(state[k] >= 1 for k in a.drains)}
 
 
 def transition_distribution(
@@ -626,7 +638,7 @@ def spec_document(net: NetworkSpec) -> dict:
                     {"disp": list(d), "rate": format_rational(rate)} for d, rate in act.outcomes
                 ],
             }
-            for act in net.actions
+            for act in map(net.action, range(net.listable_actions()))
         ],
     }
 

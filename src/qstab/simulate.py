@@ -56,6 +56,7 @@ from .netmodel import (
     PolicyError,
     ReentrantMeta,
     State,
+    check_alpha,
     check_int,
     check_state,
     format_rational,
@@ -525,7 +526,7 @@ def make_policy(
 # Sampling engine
 
 class _Tables:
-    """Sampling tables of ``actions``, indexed by flat outcome id.
+    """Sampling tables of ``actions`` (default: all of ``net``'s), indexed by flat outcome id.
 
     Row r of the tables is the r-th action and ``width`` is the largest
     outcome count; outcome k of row r has the flat id f = r * width + k.
@@ -536,7 +537,9 @@ class _Tables:
     outcome f (zero on padding), ``drain[r]`` marks the queues that row r
     needs nonempty, and ``incs[f]`` (given alpha) is the exact increment of
     alpha'X of outcome f as a float. Every per-step lookup is a ``take`` on
-    a row or flat id.
+    a row or flat id. Each exact alpha.d is computed once per entry of
+    ``net.displacements``, and ``bound`` is the float of the largest |alpha.d|
+    (ValueError if that overflows).
 
     Each probability is w_k / W in Python ints, where
     ``netmodel.integer_weights`` gives the outcome rates as integers w_k
@@ -551,7 +554,7 @@ class _Tables:
         actions: Sequence[ActionSpec] | None = None,
         alpha: Sequence[Fraction] | None = None,
     ):
-        self.actions = net.actions if actions is None else actions
+        self.actions = actions or list(map(net.action, range(net.listable_actions())))
         probs, disps = [], []
         for act in self.actions:
             weights, _ = integer_weights(rate for _, rate in act.outcomes)
@@ -573,12 +576,16 @@ class _Tables:
         self.disp = np.zeros((rows * width, net.n_queues), dtype=np.int64)
         self.disp[flat] = disps
         self.drain = (self.disp.reshape(rows, width, -1) == -1).any(axis=1)
-        self.incs = None
+        self.incs = self.bound = None
         if alpha is not None:
-            # actions share few displacements, so each exact increment is computed once
-            increment = cache(lambda d: float(sum((a * x for a, x in zip(alpha, d)), Fraction(0))))
+            exact = {d: sum(alpha[k] * x for k, x in pairs) for d, pairs in net.displacements.items()}
+            try:
+                self.bound = float(max(map(abs, exact.values())))
+            except OverflowError:
+                raise ValueError("alpha is too large: its increment bound overflows a float") from None
+            increment = {d: float(z) for d, z in exact.items()}
             self.incs = np.zeros(rows * width)
-            self.incs[flat] = [increment(d) for d in disps]
+            self.incs[flat] = [increment[d] for d in disps]
 
     def sample(self, states: np.ndarray, acts: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Flat outcome id of each row, given its table row in ``acts`` and its uniform in ``u``.
@@ -724,20 +731,13 @@ def martingale_test(
 ) -> MartingaleReport:
     """Empirical mean and standard error of Z_steps - Z_0 where Z = alpha'X.
 
-    Increments are looked up from exact per-outcome values converted to
-    float once, so the reported maximum increment respects the exact bound
-    by construction. Raises ValueError when alpha is too large for the
-    bound or the statistics to be finite floats.
+    alpha must be nonzero, since Z = 0 would be a martingale under any
+    policy. Increments and ``bound`` are floats of the exact values in
+    :class:`_Tables`, so the maximum increment respects the bound by
+    construction. Raises ValueError when alpha is too large for the bound
+    or the statistics to be finite floats.
     """
-    vec = tuple(Fraction(x) for x in alpha)
-    if len(vec) != net.n_queues:
-        raise ConstructionError(f"alpha has length {len(vec)}, expected {net.n_queues}")
-    distinct = {d for menu in net.menus for choice in menu for d in choice.support}
-    try:
-        bound = float(max(abs(sum(a * x for a, x in zip(vec, d) if x)) for d in distinct))
-    except OverflowError:
-        raise ValueError("alpha is too large: its increment bound overflows a float") from None
-    tables = _Tables(net, alpha=vec)
+    tables = _Tables(net, alpha=check_alpha(alpha, net.n_queues))
     dz = np.zeros(cfg.trials, dtype=np.float64)
     used = np.zeros(tables.incs.shape, dtype=bool)
 
@@ -752,7 +752,7 @@ def martingale_test(
     max_abs = float(np.abs(tables.incs[used]).max()) if used.any() else 0.0
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise ValueError("alpha is too large: the increment statistics overflow a float")
-    return MartingaleReport(mean, std_error, max_abs, bound)
+    return MartingaleReport(mean, std_error, max_abs, tables.bound)
 
 
 def blowup_probe(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> GrowthReport:

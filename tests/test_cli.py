@@ -182,6 +182,13 @@ def test_martingale_huge_alpha_is_an_error(spec_dir, capsys, alpha):
     assert "alpha is too large" in captured.err and "Traceback" not in captured.err
 
 
+def test_martingale_zero_alpha_is_an_error(spec_dir, capsys):
+    args = ["--alpha", "0,0/3", "--trials", "20", "--steps", "20"]
+    assert run(["martingale", spec_dir["pp-critical.json"], *args]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: alpha must be nonzero" in captured.err
+
+
 def test_seed_at_or_above_2_64_is_an_error(spec_dir, capsys):
     # A seed of 2**64 would alias seed 0 inside the 64-bit substream mix.
     args = ["--trials", "5", "--steps", "5", "--format", "json"]

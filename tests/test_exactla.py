@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dot
 from qstab import exactla
 
 
@@ -96,7 +97,7 @@ def test_null_space_annihilated_and_complete(matrix):
     basis = exactla.null_space(integer_rows(matrix), n_cols)
     assert len(basis) == n_cols - rank
     for vec in basis:
-        assert all(exactla.dot(row, vec) == 0 for row in matrix)
+        assert all(dot(row, vec) == 0 for row in matrix)
     if basis:
         # Basis vectors are linearly independent.
         assert fraction_rank(list(basis)) == len(basis)

@@ -4,7 +4,7 @@ Family networks store one menu of choices per server and certify from the
 menus without listing actions. Each test here compares that path with a
 flat one on the same network: the action list as the build functions
 enumerated it before menus existed (rebuilt locally), the one-server
-custom export of the network, or a loop over ``net.actions``.
+custom export of the network, or a loop over every action built from its id.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import io
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import dot, list_actions
 from qstab import certify
 from qstab.certify import (
     check_nondegeneracy_direct,
@@ -33,14 +34,20 @@ from qstab.netmodel import (
     MAX_ACTIONS,
     ReentrantMeta,
     RingMeta,
+    available_actions,
+    build_custom,
     build_push_pull,
     build_reentrant,
     build_ring,
     build_two_stream_example,
     dump_spec,
+    format_rational,
+    index_sets,
     loads_spec,
+    spec_document,
     transition_distribution,
 )
+from qstab.simulate import SimConfig, make_policy, martingale_test
 
 F = Fraction
 
@@ -146,11 +153,11 @@ def certify_report(net, fmt: str) -> str:
 
 def loop_direct(net, *vectors) -> bool:
     return all(any(sum(a * x for a, x in zip(v, d)) for d in act.support for v in vectors)
-               for act in net.actions)
+               for act in list_actions(net))
 
 
 def loop_lemma(net, alpha) -> bool:
-    for act in net.actions:
+    for act in list_actions(net):
         for d in act.support:
             ups = [k for k, x in enumerate(d) if x > 0]
             downs = [k for k, x in enumerate(d) if x < 0]
@@ -165,8 +172,9 @@ def loop_lemma(net, alpha) -> bool:
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(family_nets())
 def test_lazy_actions_match_the_flat_enumeration(net):
-    assert net.n_actions == len(net.actions)
-    assert [(a.id, a.label, a.outcomes) for a in net.actions] == reference_actions(net)
+    listed = list_actions(net)
+    assert net.n_actions == len(listed)
+    assert [(a.id, a.label, a.outcomes) for a in listed] == reference_actions(net)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -200,7 +208,7 @@ def test_nondegeneracy_checks_match_a_loop_over_actions(net, data):
         assert check_nondegeneracy_lemma(net, alpha) == loop_lemma(net, alpha)
     # several vectors at once, as in the blocked test on a null space basis
     for pair in itertools.combinations(vectors, 2):
-        assert certify._moves_every_action(pair, net.menus) == loop_direct(net, *pair)
+        assert certify._moves_every_action(pair, net) == loop_direct(net, *pair)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -228,7 +236,8 @@ def test_one_action_is_the_row_of_the_action_list():
     nets = [build_push_pull(1, 2, 3, 4), build_two_stream_example()]
     nets += [build_ring(range(1, m + 1), range(m + 1, 1, -1)) for m in range(2, 8)]
     for net in nets:
-        assert [net.action(k) for k in range(net.n_actions)] == list(net.actions)
+        listed = [(a.id, a.label, a.outcomes) for a in map(net.action, range(net.n_actions))]
+        assert listed == reference_actions(net)
 
 
 def test_one_action_beyond_the_listing_limit():
@@ -251,3 +260,62 @@ def test_one_action_beyond_the_listing_limit():
         assert dict(transition_distribution(net, k)) == {
             d: r / total for d, r in expected.items()}
     assert "actions" not in net.__dict__
+
+
+def unit_displacements(m: int) -> list[tuple[int, ...]]:
+    """Every arrival, departure and transfer over m queues."""
+    units = [tuple(s if i == k else 0 for i in range(m)) for k in range(m) for s in (1, -1)]
+    return units + [tuple(1 if i == j else -1 if i == k else 0 for i in range(m))
+                    for j in range(m) for k in range(m) if j != k]
+
+
+@st.composite
+def custom_nets(draw):
+    """One-server nets over 1-3 queues; the first choice repeats a displacement."""
+    m = draw(st.integers(1, 3))
+    outcome = st.tuples(st.sampled_from(unit_displacements(m)), rate_st)
+    actions = [(f"a{i}", draw(st.lists(outcome, min_size=1, max_size=4)))
+               for i in range(draw(st.integers(1, 4)))]
+    actions[0][1].append((actions[0][1][0][0], draw(rate_st)))
+    return build_custom(m, actions)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(custom_nets(), st.data())
+@example(build_push_pull(1, 2, 3, 4), None)
+@example(build_ring([1, 2, 3, 4], [4, 3, 2, 1]), None)
+@example(build_two_stream_example(), None)
+def test_displacement_index_matches_the_actions(net, data):
+    m = net.n_queues
+    reference = [net.action(a) for a in range(net.n_actions)]
+    if net.family == "pushpull":  # the id map, not the mixed-radix order
+        assert [a.label for a in reference] == [
+            "(push,push)", "(pull,pull)", "(push,pull)", "(pull,push)"]
+    support = sorted({d for act in reference for d in act.support})
+    assert list(net.displacements) == support
+    assert all(pairs == tuple((k, x) for k, x in enumerate(d) if x)
+               for d, pairs in net.displacements.items())
+
+    sets = index_sets(net)
+    assert sets.external == {k for d in support if d.count(0) == m - 1 for k, x in enumerate(d) if x}
+    assert sets.transfers == {(d.index(-1), d.index(1)) for d in support if d.count(0) == m - 2}
+
+    alphas = [tuple(range(1, m + 1)), (1,) + (0,) * (m - 1)]
+    if data is not None:
+        alphas.append(tuple(data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+                                      .filter(any))))
+    pol = make_policy(net, "custom", resolver=lambda z: 0)
+    cfg = SimConfig(seed=0, trials=2, steps=1, x0=(1,) * m)  # every action is available
+    for alpha in alphas:
+        assert check_nondegeneracy_direct(net, alpha) == all(
+            any(dot(alpha, d) for d in act.support) for act in reference)
+        bound = max(abs(dot(alpha, d)) for act in reference for d in act.support)
+        assert martingale_test(net, pol, alpha, cfg).bound == float(bound)
+
+    assert spec_document(net)["actions"] == [
+        {"label": act.label,
+         "outcomes": [{"disp": list(d), "rate": format_rational(r)} for d, r in act.outcomes]}
+        for act in reference]
+    for z in itertools.product((0, 1), repeat=m):
+        assert available_actions(net, z) == {
+            act.id for act in reference if all(z[k] for k in act.drains)}

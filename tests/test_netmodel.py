@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import label_ids, list_actions
 from qstab import netmodel
 from qstab.netmodel import (
     ConstructionError,
@@ -62,10 +63,10 @@ def family_nets(draw):
 def test_push_pull_action_set():
     net = build_push_pull(1, 1, 1, 1)
     assert net.n_queues == 2 and net.n_actions == 4
-    assert [a.label for a in net.actions] == [
+    assert [a.label for a in list_actions(net)] == [
         "(push,push)", "(pull,pull)", "(push,pull)", "(pull,push)",
     ]
-    push_pull = dict(net.actions[2].outcomes)
+    push_pull = dict(net.action(2).outcomes)
     assert push_pull == {(1, 0): F(1), (-1, 0): F(1)}
     dist = dict(transition_distribution(net, 2))
     assert dist == {(1, 0): F(1, 2), (-1, 0): F(1, 2)}
@@ -90,22 +91,20 @@ def test_push_pull_rejects_nonpositive_rates(rates):
 def test_ring_m2_matches_push_pull_by_label():
     ring = build_ring([1, 2], [3, 4])
     pp = build_push_pull(1, 2, 3, 4)
-    ring_map = {a.label: dict(a.outcomes) for a in ring.actions}
-    pp_map = {a.label: dict(a.outcomes) for a in pp.actions}
+    ring_map = {a.label: dict(a.outcomes) for a in list_actions(ring)}
+    pp_map = {a.label: dict(a.outcomes) for a in list_actions(pp)}
     assert ring_map == pp_map
     # Push-pull is the two-server ring: only the family name and the id map differ.
     assert (pp.n_queues, pp.menus, pp.meta) == (ring.n_queues, ring.menus, ring.meta)
     assert (pp.family, pp.ids) == ("pushpull", (0, 2, 3, 1))
     assert (ring.family, ring.ids) == ("ring", None)
-    for net in (pp, build_ring([1, "2/3", 3], [5, 7, "1/2"]), build_two_stream_example()):
-        assert [net.action(i) for i in range(net.n_actions)] == list(net.actions)
 
 
 def test_ring_all_push_uniform():
     ring = build_ring([1] * 4, [1] * 4)
     assert ring.n_actions == 16
     dist = dict(transition_distribution(ring, 0))
-    assert ring.actions[0].label == "(push,push,push,push)"
+    assert ring.action(0).label == "(push,push,push,push)"
     assert all(p == F(1, 4) for p in dist.values()) and len(dist) == 4
 
 
@@ -113,7 +112,7 @@ def test_ring_mixed_action_outcomes():
     # Hand enumeration for (push,pull,pull) on the 3-ring: server 1 pushes
     # stream 1, server 2 pulls stream 1, server 3 pulls stream 2.
     ring = build_ring([1, 1, 1], [1, 1, 1])
-    act = ring.actions[ring.labels()["(push,pull,pull)"]]
+    act = ring.action(label_ids(ring)["(push,pull,pull)"])
     assert dict(act.outcomes) == {
         (1, 0, 0): F(1),
         (-1, 0, 0): F(1),
@@ -148,7 +147,7 @@ def test_two_stream_example_shape():
 def test_single_queue_reentrant():
     net = build_reentrant([[(1, 1), (2, 1)]])
     assert net.n_queues == 1 and net.n_actions == 1
-    assert dict(net.actions[0].outcomes) == {(1,): F(1), (-1,): F(1)}
+    assert dict(net.action(0).outcomes) == {(1,): F(1), (-1,): F(1)}
     assert dict(transition_distribution(net, 0)) == {(1,): F(1, 2), (-1,): F(1, 2)}
 
 
@@ -158,7 +157,8 @@ def test_push_pull_shaped_reentrant():
     net = build_reentrant([[(1, "1"), (2, "3")], [(2, "2"), (1, "4")]])
     pp = build_push_pull(1, 2, 3, 4)
     assert net.n_queues == pp.n_queues and net.n_actions == pp.n_actions
-    assert sorted(a.outcomes for a in net.actions) == sorted(a.outcomes for a in pp.actions)
+    outcomes = [sorted(a.outcomes for a in list_actions(n)) for n in (net, pp)]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_reentrant_validation():
@@ -191,7 +191,7 @@ def test_reentrant_queue_numbering_round_trip():
 
 def test_availability_on_push_pull_boundary():
     net = build_push_pull(1, 1, 1, 1)
-    labels = {a.id: a.label for a in net.actions}
+    labels = {a.id: a.label for a in list_actions(net)}
     assert {labels[a] for a in available_actions(net, (0, 0))} == {"(push,push)"}
     assert {labels[a] for a in available_actions(net, (3, 0))} == {
         "(push,push)", "(push,pull)",
@@ -237,7 +237,7 @@ def test_action_ids_must_be_integers_in_range(bad):
     for decode in (net.choices, net.action, lambda a: transition_distribution(net, a)):
         with pytest.raises(ConstructionError):
             decode(bad)
-    assert net.action(np.int64(1)) == net.action(1) == net.actions[1]
+    assert net.action(np.int64(1)) == net.action(1)
 
 
 def test_an_action_stores_only_its_outcomes():
@@ -250,7 +250,7 @@ def test_an_action_stores_only_its_outcomes():
 @given(family_nets())
 def test_family_invariants(net):
     # Three-shape displacement rule and exact unit-mass distributions.
-    for act in net.actions:
+    for act in list_actions(net):
         for d in act.support:
             nonzero = [x for x in d if x]
             assert 1 <= len(nonzero) <= 2
@@ -285,7 +285,7 @@ def test_index_sets_by_family(net):
 
 def test_duplicate_displacements_merge():
     net = build_custom(1, [("double", [((1,), 1), ((1,), "1/2")])])
-    assert net.actions[0].outcomes == (((1,), F(3, 2)),)
+    assert net.action(0).outcomes == (((1,), F(3, 2)),)
 
 
 def test_custom_rejects_bad_displacements():
@@ -366,7 +366,7 @@ def test_loads_each_family():
             }
         )
     )
-    assert custom.family == "custom" and custom.actions[0].total_rate == 2
+    assert custom.family == "custom" and custom.action(0).total_rate == 2
 
 
 @pytest.mark.parametrize(
@@ -401,10 +401,10 @@ def test_dump_and_reload_any_family():
         again = loads_spec(dump_spec(net))
         assert again.family == "custom"
         assert again.n_queues == net.n_queues
-        assert [dict(a.outcomes) for a in again.actions] == [
-            dict(a.outcomes) for a in net.actions
+        assert [dict(a.outcomes) for a in list_actions(again)] == [
+            dict(a.outcomes) for a in list_actions(net)
         ]
-        assert [a.label for a in again.actions] == [a.label for a in net.actions]
+        assert [a.label for a in list_actions(again)] == [a.label for a in list_actions(net)]
 
 
 def test_spec_document_rejects_unknown_top_level_type():
@@ -421,10 +421,10 @@ def test_integer_beyond_the_digit_limit_is_a_spec_error():
 
 def test_actions_are_listed_up_to_the_limit(monkeypatch):
     monkeypatch.setattr(netmodel, "MAX_ACTIONS", 8)
-    assert len(build_ring([1] * 3, [1] * 3).actions) == 8
+    assert len(json.loads(dump_spec(build_ring([1] * 3, [1] * 3)))["actions"]) == 8
     big = build_ring([1] * 4, [1] * 4)
     assert big.n_actions == 16
-    for listing in (lambda: big.actions, lambda: dump_spec(big),
+    for listing in (big.listable_actions, lambda: dump_spec(big),
                     lambda: available_actions(big, (1,) * 4)):
         with pytest.raises(ConstructionError, match="16 actions, more than the 8"):
             listing()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import list_actions
 from qstab import simulate
 from qstab.jsonio import render_json
 from qstab.netmodel import (
@@ -190,7 +191,7 @@ def test_batch_seeding_is_checked_against_trial_rng(monkeypatch):
 def test_pull_priority_on_push_pull():
     net = critical_pp()
     pol = make_policy(net, "pull-priority")
-    labels = {a.id: a.label for a in net.actions}
+    labels = {a.id: a.label for a in list_actions(net)}
     assert labels[pol.resolve((0, 0))] == "(push,push)"
     assert labels[pol.resolve((3, 0))] == "(push,pull)"
     assert labels[pol.resolve((0, 4))] == "(pull,push)"
@@ -200,21 +201,21 @@ def test_pull_priority_on_push_pull():
 def test_pull_priority_on_supercritical_ring():
     ring = build_ring([2] * 4, [1] * 4)
     pol = make_policy(ring, "pull-priority")
-    assert ring.actions[pol.resolve((1, 0, 1, 0))].label == "(push,pull,push,pull)"
+    assert ring.action(pol.resolve((1, 0, 1, 0))).label == "(push,pull,push,pull)"
 
 
 def test_push_priority_always_pushes():
     for net in (critical_pp(), build_ring([1] * 3, [1] * 3)):
         pol = make_policy(net, "push-priority")
         for z in ((0,) * net.n_queues, (4,) * net.n_queues):
-            assert all(x == 1 for x in net.actions[pol.resolve(z)].support[0] if x)
-            assert "pull" not in net.actions[pol.resolve(z)].label
+            assert all(x == 1 for x in net.action(pol.resolve(z)).support[0] if x)
+            assert "pull" not in net.action(pol.resolve(z)).label
 
 
 def test_threshold_policy_semantics():
     net = critical_pp()
     pol = make_policy(net, "threshold", threshold=2)
-    labels = {a.id: a.label for a in net.actions}
+    labels = {a.id: a.label for a in list_actions(net)}
     assert labels[pol.resolve((2, 2))] == "(push,push)"
     assert labels[pol.resolve((3, 0))] == "(push,pull)"
     assert labels[pol.resolve((0, 3))] == "(pull,push)"
@@ -224,11 +225,11 @@ def test_threshold_policy_semantics():
 def test_reentrant_pull_priority_is_last_buffer_first():
     net = build_two_stream_example()
     pol = make_policy(net, "pull-priority")
-    assert net.actions[pol.resolve((1,) * 7)].label == "((2,3),(2,4))"
-    assert net.actions[pol.resolve((0,) * 7)].label == "((1,0),(2,0))"
+    assert net.action(pol.resolve((1,) * 7)).label == "((2,3),(2,4))"
+    assert net.action(pol.resolve((0,) * 7)).label == "((1,0),(2,0))"
     # Only stream 1's queues (0..2) hold jobs: each server works its
     # deepest available stream-1 buffer, skipping the empty stream-2 ones.
-    assert net.actions[pol.resolve((1, 1, 1, 0, 0, 0, 0))].label == "((1,2),(1,3))"
+    assert net.action(pol.resolve((1, 1, 1, 0, 0, 0, 0))).label == "((1,2),(1,3))"
 
 
 def test_reentrant_policy_starves_without_supply_step():
@@ -547,7 +548,7 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     cases = [(top, 9), (0.0, 0)]
     cases += [(cum[k - 1], k) for k in range(1, 10)]
     cases += [(float(np.nextafter(cum[k], 0.0)), k) for k in range(9)]
-    outcomes = net.actions[0].outcomes
+    outcomes = net.action(0).outcomes
     for u, k in cases:
         assert step(net, pol, origin, FixedUniform(u)) == outcomes[k][0]
     tables = _Tables(net)
@@ -561,7 +562,7 @@ def test_outcome_clamp_at_float_cumsum_below_one():
 def _reference_tables(net, alpha):
     """The sampling tables built one action at a time, probabilities as
     floats of the exact rationals."""
-    actions = net.actions
+    actions = list_actions(net)
     rows, width = len(actions), max(len(act.outcomes) for act in actions)
     cum = np.full((rows, width), np.inf)
     disp = np.zeros((rows, width, net.n_queues), dtype=np.int64)
@@ -613,7 +614,7 @@ def _assert_flat_ids_match_reference(net):
     cumulative-sum inversion picks, clamped to the row's last outcome."""
     from qstab.simulate import _Tables
 
-    actions = net.actions
+    actions = list_actions(net)
     width = max(len(act.outcomes) for act in actions)
     cums = [np.cumsum([float(rate / act.total_rate) for _, rate in act.outcomes]) for act in actions]
     # every cumulative sum, the float just below it, both ends and some interior points
@@ -740,7 +741,7 @@ def reference_resolver(net, kind, cutoff=0):
     and a supply step (step 0) is always available. Push-priority takes
     every server's push, or its first supply step.
     """
-    by_label = {a.label: a.id for a in net.actions}
+    by_label = {a.label: a.id for a in list_actions(net)}
     meta = net.meta
     if kind == "push-priority":
         if isinstance(meta, ReentrantMeta):
@@ -784,7 +785,7 @@ class Replay:
         self.net, self.resolve = net, resolve
         self.cums = [
             list(accumulate(float(rate / act.total_rate) for _, rate in act.outcomes))
-            for act in net.actions
+            for act in list_actions(net)
         ]
 
     def trial(self, seed, t, x0, steps, stop_at_start=False):
@@ -793,7 +794,7 @@ class Replay:
         z, path = x0, []
         for _ in range(steps):
             a = self.resolve(z)
-            act = self.net.actions[a]
+            act = self.net.action(a)
             assert all(z[k] >= 1 for k in act.drains)
             cum = self.cums[a]
             k = min(bisect_right(cum, rng.random()), len(cum) - 1)
@@ -845,7 +846,7 @@ def replayed_reports(net, resolve, alpha, cfg):
         z = 0.0
         for a, k, _ in path:
             if (a, k) not in inc:
-                d = net.actions[a].outcomes[k][0]
+                d = net.action(a).outcomes[k][0]
                 inc[a, k] = float(sum(F(w) * x for w, x in zip(alpha, d)))
             z += inc[a, k]
         dz.append(z)
@@ -1039,6 +1040,15 @@ def test_alpha_length_validated():
     pol = make_policy(net, "pull-priority")
     with pytest.raises(ConstructionError):
         martingale_test(net, pol, (1, -1, 1), SimConfig(trials=2, steps=2))
+
+
+def test_zero_alpha_is_refused():
+    # Z = 0 is a martingale under every policy, so it would corroborate nothing.
+    net = critical_pp()
+    pol = make_policy(net, "pull-priority")
+    for alpha in ((0, 0), (F(0), 0)):
+        with pytest.raises(ConstructionError, match="alpha must be nonzero"):
+            martingale_test(net, pol, alpha, SimConfig(trials=2, steps=2))
 
 
 # ---------------------------------------------------------------------------
