@@ -22,7 +22,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from math import gcd
 from typing import Iterable, Sequence
 
 from . import exactla
@@ -140,9 +139,7 @@ class HarmonicCertificate:
             else [format_rational(x) for x in self.alpha],
             "nondegeneracy": {"direct": self.alpha is not None, "lemma": self.nondeg_lemma},
             "critical": self.critical,
-            "null_space_basis": [
-                [format_rational(Fraction(x)) for x in vec] for vec in self.null_space_basis
-            ],
+            "null_space_basis": [[str(x) for x in vec] for vec in self.null_space_basis],
         }
 
 
@@ -195,18 +192,11 @@ def _drift_rows(net: NetworkSpec, vectors: Iterable[Sequence[Choice]]) -> DriftM
 
 
 def _spanning_rows(d: DriftMatrix) -> list[tuple[int, ...]]:
-    """The distinct nonzero rows of D in primitive form (coprime, first nonzero positive).
+    """The distinct nonzero rows of D in :func:`exactla.primitive` form.
 
     They span the row space of D, so rank and null space are unchanged.
     """
-    spanning: dict[tuple[int, ...], None] = {}
-    for row in d.numerators:
-        g = gcd(*row)
-        if g:
-            if next(x for x in row if x) < 0:
-                g = -g
-            spanning[tuple(x // g for x in row)] = None
-    return list(spanning)
+    return list(dict.fromkeys(exactla.primitive(row) for row in d.numerators if any(row)))
 
 
 def rank(d: DriftMatrix) -> int:
@@ -221,7 +211,7 @@ def null_space_basis(d: DriftMatrix) -> list[tuple[int, ...]]:
 
 def sign_matrix(d: DriftMatrix) -> SignMatrix:
     return SignMatrix(
-        tuple(tuple(0 if x == 0 else (1 if x > 0 else -1) for x in row) for row in d.rows)
+        tuple(tuple(0 if x == 0 else (1 if x > 0 else -1) for x in row) for row in d.numerators)
     )
 
 
@@ -392,7 +382,7 @@ def _certificate_alpha(
     )
     for cand in chain(basis, alphas):
         if _moves_every_action([cand], net):
-            return exactla.normalize_integer_vector(cand)
+            return exactla.primitive(cand)
     raise ArithmeticError("internal error: no weight vector alpha(t) moves every action")
 
 

@@ -1,7 +1,8 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
 Rank and null spaces of drift matrices are computed with fraction-free
-(Bareiss) integer elimination followed by rational back substitution.
+(Bareiss) integer elimination followed by integer back substitution, and
+every vector returned is in one canonical form (:func:`primitive`).
 No floating point is used anywhere in this module: the certificates built
 on top of it are exact algebraic objects, and a tolerance-based rank would
 make them meaningless.
@@ -52,37 +53,43 @@ def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
 def null_space(rows: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
     """Basis of the right null space of an integer matrix, one vector per free column.
 
-    Each basis vector is normalized to coprime integer entries with the
-    first nonzero entry positive, so the result is a stable canonical form.
-    Vectors are ordered by their free column index.
+    The vector of free column f is d at f and 0 at the other free columns,
+    d being the last Bareiss pivot (+-det of the pivot block). By Cramer's
+    rule its pivot entries, solved bottom up, are integers, so every
+    division is exact; a remainder is checked, as in :func:`echelon`.
+    Vectors are in :func:`primitive` form, ordered by f.
     """
     if rows and rows[0]:
         ech, pivots = echelon(rows)
     else:
         ech, pivots = [], []
-    free = [c for c in range(n_cols) if c not in pivots]
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for f in free:
-        v: list[Fraction] = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [0] * n_cols
+        v[f] = d
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
-            s = sum((Fraction(ech[r][c]) * v[c] for c in range(pc + 1, n_cols)), Fraction(0))
-            v[pc] = -s / ech[r][pc]
-        basis.append(normalize_integer_vector(v))
+            s = sum(ech[r][c] * v[c] for c in range(pc + 1, n_cols))
+            v[pc], rem = divmod(-s, ech[r][pc])
+            if rem:
+                raise ArithmeticError("integer back substitution lost exactness")
+        basis.append(primitive(v))
     return basis
 
 
-def normalize_integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Canonical form: coprime integers, first nonzero entry positive."""
-    fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        raise ValueError("cannot normalize the zero vector")
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """Canonical form of a nonzero integer vector: coprime entries, first nonzero positive."""
     g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if not g:
+        raise ValueError("cannot normalize the zero vector")
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def normalize_integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """Canonical form of a rational vector: :func:`primitive` of it times its denominators' lcm."""
+    fracs = [Fraction(x) for x in vec]
+    mult = lcm(*(f.denominator for f in fracs))
+    return primitive([f.numerator * (mult // f.denominator) for f in fracs])

@@ -163,6 +163,8 @@ def make_choice(
     label: str, outcomes: Iterable[tuple[Sequence[int], RateLike]], n_queues: int
 ) -> Choice:
     """Validate every outcome of one menu entry once."""
+    if not isinstance(label, str):
+        raise ConstructionError(f"an action label must be a string, got {label!r}")
     checked = tuple((check_displacement(d, n_queues), as_rate(r)) for d, r in outcomes)
     if not checked:
         raise ConstructionError(f"action {label!r} has no outcomes")
@@ -431,6 +433,7 @@ def build_custom(
     actions: Sequence[tuple[str, Sequence[tuple[Sequence[int], RateLike]]]],
 ) -> NetworkSpec:
     """A network given directly as a list of (label, outcomes) actions."""
+    n_queues = check_int(n_queues, "n_queues")
     if n_queues < 1:
         raise ConstructionError("a network needs at least one queue")
     if not actions:
@@ -546,10 +549,22 @@ def _rate_list(value: object, where: str, length: int | None = None) -> list[Fra
     return [_rate_field(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice, which ``dict`` would overwrite."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        raise SpecFileError(f"repeated field {repeated!r}")
+    return obj
+
+
 def loads_spec(text: str) -> NetworkSpec:
     """Parse a network spec document from a JSON string."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
+    except SpecFileError:
+        raise
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

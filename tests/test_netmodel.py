@@ -316,6 +316,20 @@ def test_numpy_integer_displacement_entries_are_ints():
     assert d == (1, 0) and all(type(x) is int for x in d)
 
 
+@pytest.mark.parametrize("n_queues, disp", [(True, (1,)), (2.0, (1, 0)), ("2", (1, 0))])
+def test_custom_queue_count_must_be_an_integer(n_queues, disp):
+    # True would pass n_queues >= 1 and report "M": true; 2.0 would fail only in certify
+    with pytest.raises(ConstructionError, match="n_queues must be an integer"):
+        build_custom(n_queues, [("a", [(disp, 1), (tuple(-x for x in disp), 1)])])
+
+
+@pytest.mark.parametrize("label", [3, None, b"a", ("a",)])
+def test_action_labels_must_be_strings(label):
+    # dump_spec would write the label as is, and loads_spec refuses a non-string label
+    with pytest.raises(ConstructionError, match="label must be a string"):
+        build_custom(1, [(label, [((1,), 1)])])
+
+
 @pytest.mark.parametrize("server", [1.0, 2.0, True])
 def test_reentrant_servers_must_be_integers(server):
     message = f"stream 1 step 0: server must be an integer, got {server!r}"
@@ -405,6 +419,27 @@ def test_dump_and_reload_any_family():
             dict(a.outcomes) for a in list_actions(net)
         ]
         assert [a.label for a in list_actions(again)] == [a.label for a in list_actions(net)]
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ('{"family": "ring", "lambda": ["1","1"], "mu": ["1","1"], "lambda": ["2","2"]}', "lambda"),
+        ('{"family": "ring", "family": "ring", "lambda": ["1","1"], "mu": ["1","1"]}', "family"),
+        ('{"family": "reentrant", "streams": [[{"server": 1, "rate": "1", "server": 2}, {"server": 2, "rate": "1"}]]}', "server"),
+        ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": [{"disp": [1], "rate": "2", "rate": "1"}]}]}', "rate"),
+    ],
+)
+def test_spec_repeated_field_is_an_error(doc, key):
+    with pytest.raises(SpecFileError, match=f"^repeated field '{key}'$"):
+        loads_spec(doc)
+
+
+def test_spec_label_error_names_its_location():
+    doc = ('{"family": "custom", "M": 1, "actions": [{"label": "a", "outcomes": '
+           '[{"disp": [1], "rate": "1"}]}, {"label": 3, "outcomes": [{"disp": [1], "rate": "1"}]}]}')
+    with pytest.raises(SpecFileError, match=r"^actions\[1\]\.label must be a string$"):
+        loads_spec(doc)
 
 
 def test_spec_document_rejects_unknown_top_level_type():
