@@ -26,7 +26,9 @@ Reproducibility contract
   a refill draws, for each trial still running, only the uniforms the
   next ``_CHUNK`` (256) steps (or the rest of the steps or cap) can use, and
   since consecutive draws from a stream are prefixes of one another the
-  values do not depend on how they are chunked;
+  values do not depend on how they are chunked. Each trial's uniforms
+  fill one padded row of a chunk, and a step gathers the live trials' u
+  by their flat offsets in it;
 * each action's outcome is selected by cumulative-sum inversion over its
   outcomes in lexicographic displacement order (the storage order of
   :class:`~qstab.netmodel.ActionSpec`), with probabilities converted from
@@ -438,7 +440,7 @@ def _priority_policy(net: NetworkSpec, orders: Sequence[Sequence[int]], cutoff: 
     lut = None if net.ids is None else np.array(net.ids, dtype=np.int64)
 
     def choose_batch(states: np.ndarray) -> np.ndarray:
-        total = np.full(len(states), float(base))
+        total = np.zeros(len(states))
         waiting = None
         for col, delta in ranks:
             # a column gather: states.take(col, axis=1) is 2-4x slower here
@@ -446,7 +448,9 @@ def _priority_policy(net: NetworkSpec, orders: Sequence[Sequence[int]], cutoff: 
             waiting = test if waiting is None else waiting & test
             total += waiting.astype(np.float64) @ delta
         ids = total.astype(np.int64)
-        if starvable and (ids < 0).any():
+        if base:
+            ids += base
+        if starvable and np.logical_or.reduce(ids < 0):
             z = _state(states[np.argmax(ids < 0)])
             server = next(
                 s for s, queues in enumerate(drains, 1)
@@ -534,8 +538,9 @@ class _Tables:
     outcome j (j < width - 1), and is +inf from the row's last outcome on,
     so the number of entries <= u is ``searchsorted(side="right")``
     clamped to the last outcome. ``disp[f]`` is the displacement of
-    outcome f (zero on padding), ``drain[r]`` marks the queues that row r
-    needs nonempty, and ``incs[f]`` (given alpha) is the exact increment of
+    outcome f (zero on padding), ``moves[f]`` is its change of the total
+    queue length, ``drain[r]`` marks the queues that row r needs nonempty,
+    and ``incs[f]`` (given alpha) is the exact increment of
     alpha'X of outcome f as a float. Every per-step lookup is a ``take`` on
     a row or flat id. Each exact alpha.d is computed once per entry of
     ``net.displacements``, and ``bound`` is the float of the largest |alpha.d|
@@ -575,6 +580,7 @@ class _Tables:
         self.cum = cum.T[:-1].copy()  # the last column is +inf in every row
         self.disp = np.zeros((rows * width, net.n_queues), dtype=np.int64)
         self.disp[flat] = disps
+        self.moves = self.disp.sum(axis=1)
         self.drain = (self.disp.reshape(rows, width, -1) == -1).any(axis=1)
         self.incs = self.bound = None
         if alpha is not None:
@@ -594,7 +600,7 @@ class _Tables:
         message names the smallest such action and the first row using it.
         """
         blocked = self.drain.take(acts, axis=0) & (states < 1)
-        if blocked.any():
+        if np.logical_or.reduce(blocked, axis=None):
             rows = np.nonzero(blocked.any(axis=1))[0]
             a = acts[rows].min()
             act = self.actions[a]
@@ -613,8 +619,13 @@ def _state(row: np.ndarray) -> State:
 
 
 def _choose(policy: Policy, states: np.ndarray, n_actions: int) -> np.ndarray:
-    """The policy's action ids for ``states``: an integer array with one id
-    per row, each in range; the error names the first row with an unknown id."""
+    """The policy's action ids for ``states`` as int64, one per row, each
+    in range; the error names the first row with an unknown id.
+
+    Ids of any integer dtype are read as int64. Viewed as uint64, every
+    negative int64 is at least 2**63 (a uint64 id of 2**63 or more casts
+    to one), so one maximum finds every id out of range.
+    """
     acts = policy.choose_batch(states)
     if not isinstance(acts, np.ndarray) or acts.dtype.kind not in "iu" or acts.shape != states.shape[:1]:
         what = (f"dtype {acts.dtype}, shape {acts.shape}" if isinstance(acts, np.ndarray)
@@ -622,10 +633,12 @@ def _choose(policy: Policy, states: np.ndarray, n_actions: int) -> np.ndarray:
         raise PolicyError(
             f"choose_batch returned {what}; expected an integer array of shape ({len(states)},)"
         )
-    if acts.min() < 0 or acts.max() >= n_actions:
-        row = int(np.argmax((acts < 0) | (acts >= n_actions)))
+    ids = acts.astype(np.int64, copy=False)
+    unsigned = ids.view(np.uint64)
+    if np.maximum.reduce(unsigned) >= n_actions:
+        row = int(np.argmax(unsigned >= n_actions))
         raise _unknown_id(int(acts[row]), states[row])
-    return acts
+    return ids
 
 
 def _start_state(net: NetworkSpec, cfg: SimConfig) -> State:
@@ -660,13 +673,18 @@ def _run(
 ) -> np.ndarray:
     """Run cfg.trials trials for up to ``horizon`` steps in lockstep batches.
 
-    After every transition, ``observe(s, rows, states, disp, flat)`` sees
-    the live rows of the batch, whose trials are ``rows`` (a slice) until
-    some row retires, their displacements and the flat outcome ids (see
-    :class:`_Tables`) they took; it may return a mask of rows to retire. Each
-    refill draws, for every live trial, only the uniforms that the next
-    ``_CHUNK`` steps (or the rest of the horizon) can use. Returns the
-    final states of the rows still live at the end.
+    After every transition, ``observe(s, rows, states, flat)`` sees the
+    live rows of the batch, whose trials are ``rows`` (a slice) until some
+    row retires, and the flat outcome ids (see :class:`_Tables`) they took;
+    it may return a mask of rows to retire. Each refill draws, for every
+    live trial, only the uniforms that the next ``_CHUNK`` steps (or the
+    rest of the horizon) can use, into one row of ``chunk`` per trial. Rows
+    are padded to 8 mod 16 doubles, an odd number of 64-byte cache lines:
+    a power-of-two stride such as 256 doubles would map every row of a
+    column onto the same few cache sets. ``at`` holds each live trial's
+    row start in the flattened chunk, so a step reads its uniforms with
+    one gather on the live trials alone.
+    Returns the final states of the rows still live at the end.
     """
     x0 = np.array(_start_state(net, cfg), dtype=np.int64)
     _check_batch_seeding()
@@ -676,8 +694,11 @@ def _run(
         rows = slice(start, min(start + _BATCH, cfg.trials))
         streams = _Streams(gen, cfg.seed, rows.start, rows.stop)
         b = rows.stop - rows.start
-        chunk = np.empty((b, min(_CHUNK, horizon)), dtype=np.float64)
+        width = min(_CHUNK, horizon)
+        chunk = np.empty((b, width + (8 - width) % 16), dtype=np.float64)
+        uniforms = chunk.reshape(-1)
         live = np.arange(b)
+        at = live * chunk.shape[1]
         states = np.repeat(x0[None, :], b, axis=0)
         for s in range(horizon):
             col = s % _CHUNK
@@ -685,13 +706,12 @@ def _run(
                 n = min(_CHUNK, horizon - s)
                 streams.fill(live.tolist(), chunk[:, :n], keep=s + n < horizon)
             acts = _choose(policy, states, net.n_actions)
-            flat = tables.sample(states, acts, chunk[:, col].take(live))
-            disp = tables.disp.take(flat, axis=0)
-            states += disp
-            done = observe(s, rows, states, disp, flat)
+            flat = tables.sample(states, acts, uniforms.take(at + col))
+            states += tables.disp.take(flat, axis=0)
+            done = observe(s, rows, states, flat)
             if done is not None:
                 keep = ~done
-                live, states = live.compress(keep), states.compress(keep, axis=0)
+                live, at, states = live.compress(keep), at.compress(keep), states.compress(keep, axis=0)
                 if not live.size:
                     break
         finals.append(states)
@@ -703,10 +723,10 @@ def estimate_return_time(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> Re
     x0 = np.array(_start_state(net, cfg), dtype=np.int64)
     returns = []  # (trials returning, at step)
 
-    def observe(s, rows, states, disp, flat):
-        hits = (states == x0).all(axis=1)
-        if hits.any():
-            returns.append((int(hits.sum()), s + 1))
+    def observe(s, rows, states, flat):
+        hits = np.logical_and.reduce(states == x0, axis=1)
+        if np.logical_or.reduce(hits):
+            returns.append((int(np.count_nonzero(hits)), s + 1))
             return hits
         return None
 
@@ -741,7 +761,7 @@ def martingale_test(
     dz = np.zeros(cfg.trials, dtype=np.float64)
     used = np.zeros(tables.incs.shape, dtype=bool)
 
-    def observe(s, rows, states, disp, flat):
+    def observe(s, rows, states, flat):
         dz[rows] += tables.incs.take(flat)
         used.put(flat, True)
 
@@ -761,14 +781,15 @@ def blowup_probe(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> GrowthRepo
     totals = np.full(cfg.trials, float(initial_total))
     sum_t = totals.copy()
     sum_nt = np.zeros(cfg.trials, dtype=np.float64)
+    tables = _Tables(net)
 
-    def observe(s, rows, states, disp, flat):
+    def observe(s, rows, states, flat):
         batch = totals[rows]
-        batch += disp.sum(axis=1)
+        batch += tables.moves.take(flat)
         sum_t[rows] += batch
         sum_nt[rows] += (s + 1) * batch
 
-    _run(net, policy, cfg, cfg.steps, _Tables(net), observe)
+    _run(net, policy, cfg, cfg.steps, tables, observe)
     n = cfg.steps
     count = n + 1
     sum_n = n * (n + 1) / 2.0

@@ -49,6 +49,13 @@ CASES = {
     "two-stream-martingale-push-priority": (
         TWO_STREAM, ["martingale", "--trials", "300", "--steps", "300", "--seed", str(2**64 - 1),
                       "--policy", "push-priority"]),
+    # from a nonzero start, trials return to it and retire across three refills
+    "pushpull-return-time-x0": (
+        PUSHPULL, ["return-time", "--trials", "300", "--cap", "700", "--seed", "0",
+                   "--x0", "2,1", "--policy", "threshold:1"]),
+    # step 257 draws the first uniform of the second refill
+    "pushpull-martingale-refill-boundary": (
+        PUSHPULL, ["martingale", "--trials", "200", "--steps", "257", "--seed", "5"]),
     # 4100 trials take two lockstep batches
     "pushpull-simulate-two-batches": (
         PUSHPULL, ["simulate", "--trials", "4100", "--steps", "40", "--seed", "0",
@@ -57,9 +64,11 @@ CASES = {
 
 DIGESTS = {
     "pushpull-martingale": "700214c32493e668655747cc272b4003485eac12213a1c62e7c635ec5627a51e",
+    "pushpull-martingale-refill-boundary": "e6a7caae56f3191433c45d0a68369c83ce2a77784ee2533e7f481d6ee7777f42",
     "pushpull-return-time-seed0": "6e7e56de08f57bd0068eca42497a0f7d86dd7f5bd815a1d1aa2948f094cb32eb",
     "pushpull-return-time-seed18446744073709551615": "49f0e7382036667b8d88716ca3a89b10ee6053a851d452146568776f81ed70d0",
     "pushpull-return-time-seed4294967296": "f3d29673260a184e896a7d23f3ba939747faa1522a1ab4bacecc3383445b28d9",
+    "pushpull-return-time-x0": "9702a786cc29deea48e0b009d136d35e45c8606f76ba077aa119d8f318687a99",
     "pushpull-simulate-two-batches": "df3d86be4efd12c6588b9573412d6b1bca89135125ade230dd8c8bef450aa3bf",
     "ring8-blowup": "70b5e621421aa07b2f56573fd2119041037e7d93a95e02caea1b44e7730f97c9",
     "ring8-martingale-pull-priority": "33f57a04f54faf3712faa62ff81fd5e614fc527dfd9165b1880850824625f893",

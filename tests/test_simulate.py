@@ -455,6 +455,40 @@ def test_choose_batch_may_return_any_integer_dtype():
         assert run_trajectories(net, _direct_policy(choose), cfg) == run_trajectories(net, pull, cfg)
 
 
+def test_narrow_integer_ids_give_the_int64_report_on_ring8():
+    # Ring-8 ids reach 255 and its rows are 8 outcomes wide, so an id's
+    # flat offset does not fit in uint8: ids are read as int64.
+    net = _ring8()
+    pull = make_policy(net, "pull-priority")
+    cfg = SimConfig(seed=1, steps=50, trials=20)
+    want = run_trajectories(net, pull, cfg)
+    for dtype in (np.uint8, np.int16):
+        narrow = _direct_policy(lambda states, dtype=dtype: pull.choose_batch(states).astype(dtype))
+        assert run_trajectories(net, narrow, cfg) == want, dtype
+
+
+@pytest.mark.parametrize("dtype, bad", [
+    (np.int8, -1), (np.uint8, 4), (np.uint64, 2**63), (np.uint64, 2**64 - 1), (np.int64, -2**63),
+], ids=["int8-negative", "uint8-n_actions", "uint64-2**63", "uint64-max", "int64-min"])
+def test_out_of_range_ids_of_any_dtype_are_named_with_their_row(dtype, bad):
+    # Only row 2 holds the bad id (row 0 in step's batch of one); each row has its own state.
+    net = critical_pp()
+    states = np.array([[0, 0], [1, 0], [2, 1], [0, 3]], dtype=np.int64)
+
+    def choose(states):
+        ids = np.zeros(len(states), dtype=dtype)
+        ids[min(2, len(states) - 1)] = bad
+        return ids
+
+    message = rf"^policy produced an unknown action id {bad} at state \(2, 1\)$"
+    with pytest.raises(PolicyError, match=message):
+        simulate._choose(_direct_policy(choose), states, net.n_actions)
+    with pytest.raises(PolicyError, match=message):
+        run_trajectories(net, _direct_policy(choose), SimConfig(steps=2, trials=3, x0=(2, 1)))
+    with pytest.raises(PolicyError, match=message):
+        step(net, _direct_policy(choose), (2, 1), trial_rng(0, 0))
+
+
 # ---------------------------------------------------------------------------
 # step
 
@@ -567,15 +601,17 @@ def _reference_tables(net, alpha):
     cum = np.full((rows, width), np.inf)
     disp = np.zeros((rows, width, net.n_queues), dtype=np.int64)
     drain = np.zeros((rows, net.n_queues), dtype=bool)
+    moves = np.zeros((rows, width), dtype=np.int64)
     incs = np.zeros((rows, width))
     for r, act in enumerate(actions):
         k = len(act.outcomes)
         probs = np.array([float(rate / act.total_rate) for _, rate in act.outcomes])
         cum[r, : k - 1] = np.cumsum(probs)[: k - 1]
         disp[r, :k] = [d for d, _ in act.outcomes]
+        moves[r, :k] = [sum(d) for d, _ in act.outcomes]
         drain[r, sorted(act.drains)] = True
         incs[r, :k] = [float(sum((a * x for a, x in zip(alpha, d)), F(0))) for d, _ in act.outcomes]
-    return {"cum": cum, "disp": disp, "drain": drain, "incs": incs}
+    return {"cum": cum, "disp": disp, "moves": moves, "drain": drain, "incs": incs}
 
 
 def _table_views(tables):
@@ -587,6 +623,7 @@ def _table_views(tables):
     views = {
         "cum": np.column_stack([*tables.cum, np.full(rows, np.inf)]),
         "disp": tables.disp.reshape(rows, width, -1),
+        "moves": tables.moves.reshape(rows, width),
         "drain": tables.drain,
     }
     if tables.incs is not None:
