@@ -34,7 +34,9 @@ Reproducibility contract
   :class:`~qstab.netmodel.ActionSpec`), with probabilities converted from
   exact rationals to their nearest floats once per run: the outcome is the
   number of cumulative sums <= u, clamped to the last outcome, so a u at
-  or above a float cumsum that rounds below 1 picks the last outcome.
+  or above a float cumsum that rounds below 1 picks the last outcome. The
+  engine finds that count through a guide table (:class:`_Tables`), which
+  leaves the map from u to the outcome unchanged.
 
 Identical (network, policy, config) therefore yield bit-identical reports.
 """
@@ -414,10 +416,14 @@ def _priority_policy(net: NetworkSpec, orders: Sequence[Sequence[int]], cutoff: 
     Write w_k for the mixed-radix weight of a server's k-th position, cut
     the list after its first always-qualifying entry, and end a list that
     can run out with w = -n_actions. The pick then weighs
-    w_0 + sum_k [no position <= k qualifies] * (w_{k+1} - w_k): per rank,
-    one gather, one compare and one float64 mat-vec over all servers. Every
-    partial sum is an integer of magnitude below 2**53, so the sums are
-    exact, and a negative one marks a row where some server starves.
+    w_0 + sum_k [no position <= k qualifies] * (w_{k+1} - w_k). The mask
+    ``empty`` of queues holding at most ``cutoff`` jobs is computed once.
+    Rank 0 is one float64 mat-vec of that mask with ``first``, which holds
+    each server's first weight step on its tested queue's column (summed
+    where servers test the same queue); each later rank (re-entrant lists
+    only) gathers its columns from the mask. Every partial sum is an
+    integer of magnitude below 2**53, so the sums are exact, and a
+    negative one marks a row where some server starves.
     """
     cutoff = min(cutoff, 2**63 - 1)  # the headroom check keeps every queue below 2**63
     radix, base, drains, steps = net.n_actions, 0, [], []
@@ -436,17 +442,22 @@ def _priority_policy(net: NetworkSpec, orders: Sequence[Sequence[int]], cutoff: 
          np.array([d[r] if r < len(d) else 0 for d in steps], dtype=np.float64))
         for r in range(max(map(len, steps)))
     ]
+    first = np.zeros(net.n_queues)
+    if ranks:
+        np.add.at(first, *ranks[0])
     starvable = any(None not in queues for queues in drains)
     lut = None if net.ids is None else np.array(net.ids, dtype=np.int64)
 
     def choose_batch(states: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(states))
-        waiting = None
-        for col, delta in ranks:
-            # a column gather: states.take(col, axis=1) is 2-4x slower here
-            test = states[:, col] <= cutoff
-            waiting = test if waiting is None else waiting & test
-            total += waiting.astype(np.float64) @ delta
+        if ranks:
+            empty = states <= cutoff
+            total = empty.astype(np.float64) @ first
+            waiting = empty[:, ranks[0][0]] if len(ranks) > 1 else None
+            for col, delta in ranks[1:]:
+                waiting &= empty[:, col]
+                total += waiting.astype(np.float64) @ delta
+        else:
+            total = np.zeros(len(states))
         ids = total.astype(np.int64)
         if base:
             ids += base
@@ -534,23 +545,38 @@ class _Tables:
 
     Row r of the tables is the r-th action and ``width`` is the largest
     outcome count; outcome k of row r has the flat id f = r * width + k.
-    ``cum[j]`` holds, for every row, its cumulative probability through
-    outcome j (j < width - 1), and is +inf from the row's last outcome on,
-    so the number of entries <= u is ``searchsorted(side="right")``
-    clamped to the last outcome. ``disp[f]`` is the displacement of
-    outcome f (zero on padding), ``moves[f]`` is its change of the total
-    queue length, ``drain[r]`` marks the queues that row r needs nonempty,
-    and ``incs[f]`` (given alpha) is the exact increment of
-    alpha'X of outcome f as a float. Every per-step lookup is a ``take`` on
-    a row or flat id. Each exact alpha.d is computed once per entry of
-    ``net.displacements``, and ``bound`` is the float of the largest |alpha.d|
-    (ValueError if that overflows).
+    ``cum[f]`` is row r's cumulative probability through outcome k, and
+    +inf from the row's last outcome on, so the number of a row's entries
+    <= u, clamped to the last outcome by the +inf, is the outcome that
+    u picks. ``disp[f]`` is the displacement of outcome f (zero on
+    padding), ``moves[f]`` is its change of the total queue length,
+    ``drain[r]`` marks the queues that row r needs nonempty, and ``incs[f]``
+    (given alpha) is the exact increment of alpha'X of outcome f as a float.
+    Every per-step lookup is a ``take`` on a row or flat id. Each exact
+    alpha.d is computed once per entry of ``net.displacements``, and
+    ``bound`` is the float of the largest |alpha.d| (ValueError if that
+    overflows).
 
     Each probability is w_k / W in Python ints, where
     ``netmodel.integer_weights`` gives the outcome rates as integers w_k
     and W is their sum. Integer division is correctly rounded, so this is
     the float nearest rate / total_rate. The cumulative sums are taken
     left to right along each row.
+
+    ``sample`` counts the sums <= u through a guide table (Chen & Asau,
+    1974) of ``cells`` = G cells per row, G a power of two: cell j covers
+    u in [j/G, (j+1)/G), and ``start[r * G + j]`` is r * width plus the
+    number of row r's sums <= j/G. A sum s is <= j/G exactly when
+    ceil(s * G) <= j, since scaling by a power of two is exact, and so is
+    the floor of u * G. From its cell's start, ``passes`` = K steps of
+    ``flat += cum[flat] <= u`` settle every sum that lies strictly inside
+    the cell, K being the most such sums in any one cell. G is the
+    smallest power of two that reaches the fewest in-cell sums, with at
+    most as many guide entries as ``disp`` has. A table on which the guide
+    saves no pass (K + 1 >= width - 1), or one built with ``guide=False``,
+    takes G = 1, no ``start``, and width - 1 passes from r * width.
+    :func:`step` samples its one-row table once, so it skips the guide,
+    whose build costs more than the passes it saves on one sample.
     """
 
     def __init__(
@@ -558,6 +584,7 @@ class _Tables:
         net: NetworkSpec,
         actions: Sequence[ActionSpec] | None = None,
         alpha: Sequence[Fraction] | None = None,
+        guide: bool = True,
     ):
         self.actions = actions or list(map(net.action, range(net.listable_actions())))
         probs, disps = [], []
@@ -577,11 +604,14 @@ class _Tables:
         cum = np.cumsum(p, axis=1)
         cum[np.arange(width) >= counts[:, None] - 1] = np.inf
         self.width = width
-        self.cum = cum.T[:-1].copy()  # the last column is +inf in every row
+        self.cum = cum.reshape(-1)
         self.disp = np.zeros((rows * width, net.n_queues), dtype=np.int64)
         self.disp[flat] = disps
         self.moves = self.disp.sum(axis=1)
         self.drain = (self.disp.reshape(rows, width, -1) == -1).any(axis=1)
+        self.cells, self.passes, self.start = (
+            _guide(cum, self.disp.size) if guide else (1, width - 1, None)
+        )
         self.incs = self.bound = None
         if alpha is not None:
             exact = {d: sum(alpha[k] * x for k, x in pairs) for d, pairs in net.displacements.items()}
@@ -608,10 +638,41 @@ class _Tables:
             raise PolicyError(
                 f"action {act.label!r} (id {act.id}) is not available at state {state}"
             )
-        flat = acts * self.width
-        for col in self.cum:
-            flat += col.take(acts) <= u
+        if self.start is None:
+            flat = acts * self.width
+        else:
+            flat = self.start.take(acts * self.cells + (u * self.cells).astype(np.int64))
+        for _ in range(self.passes):
+            flat += self.cum.take(flat) <= u
         return flat
+
+
+def _guide(cum: np.ndarray, limit: int) -> tuple[int, int, np.ndarray | None]:
+    """The cell count G, the pass count K and the entries of the guide
+    table of a (rows x width) array of nondecreasing cumulative sums, with
+    at most ``limit`` entries; see :class:`_Tables`."""
+    rows, width = cum.shape
+    row, col = np.nonzero(cum < 1.0)  # the sums that can lie inside a cell
+    sums = cum[row, col]
+
+    def passes(g: int) -> int:  # the most sums strictly inside one cell [j/g, (j+1)/g)
+        scaled = sums * g
+        cell = np.floor(scaled)
+        inside = cell < scaled
+        return int(np.bincount((row * g + cell)[inside].astype(np.int64), minlength=1).max())
+
+    top = 1
+    while rows * top * 2 <= limit:
+        top *= 2
+    fewest, g = passes(top), 1  # halving a cell never adds in-cell sums
+    while (k := passes(g)) > fewest:
+        g *= 2
+    if k + 1 >= width - 1:
+        return 1, width - 1, None
+    # row r's keys r * (g + 1) + min(ceil(s * g), g) increase along the flat array
+    base = np.arange(rows)[:, None] * (g + 1)
+    keys = (base + np.minimum(np.ceil(cum * g), g)).reshape(-1)
+    return g, k, np.searchsorted(keys, (base + np.arange(g)).reshape(-1), side="right")
 
 
 def _state(row: np.ndarray) -> State:
@@ -658,7 +719,7 @@ def step(
     _check_headroom(state, 1)
     states = np.array([state], dtype=np.int64)
     a = _choose(policy, states, net.n_actions)[0]
-    table = _Tables(net, [net.action(a)])
+    table = _Tables(net, [net.action(a)], guide=False)
     f = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
     return _state(states[0] + table.disp[f])
 

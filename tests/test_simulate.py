@@ -395,6 +395,77 @@ def test_batch_lbfs_error_names_the_first_starved_row():
         mirror.choose_batch(np.array([[1, 0], [0, 5], [0, 0]]))
 
 
+def _per_server_reference(net, kind, cutoff):
+    """A built-in policy folded server by server, sharing no code with the
+    engine: each server takes the first menu position of its priority list
+    whose choice drains nothing or drains a queue holding more than
+    ``cutoff`` jobs; the positions read in mixed radix, server 1 most
+    significant, give the id, mapped through ``ids`` on push-pull."""
+    def drained(choice):
+        return next((d.index(-1) for d, _ in choice.outcomes if -1 in d), None)
+
+    orders = []
+    for server, menu in enumerate(net.menus, 1):
+        if kind == "push-priority":
+            orders.append([next(k for k, c in enumerate(menu) if drained(c) is None)])
+        elif isinstance(net.meta, ReentrantMeta):  # last buffer first, ties by stream
+            ops = net.meta.server_operations(server)
+            orders.append(sorted(range(len(ops)), key=lambda k: (-ops[k][1], ops[k][0])))
+        else:  # pull, else push
+            orders.append(sorted(range(len(menu)), key=lambda k: drained(menu[k]) is None))
+
+    def resolve(z):
+        a = 0
+        for server, (menu, order) in enumerate(zip(net.menus, orders), 1):
+            qualifies = [k for k in order if drained(menu[k]) is None or z[drained(menu[k])] > cutoff]
+            if not qualifies:
+                raise PolicyError(f"server {server} has no available operation at state {z}")
+            a = a * len(menu) + qualifies[0]
+        return a if net.ids is None else net.ids[a]
+
+    return resolve
+
+
+def _one_buffer_line():
+    # Server 2's list ends at once, so both servers put a weight step on
+    # queue 0's column.
+    return build_reentrant([[(2, 1), (1, 1)]])
+
+
+def _two_buffer_line():
+    return build_reentrant([[(2, 1), (1, 1), (1, 1)]])
+
+
+_STARVING = [_one_buffer_line, _two_buffer_line]  # server 1 serves every buffer, with no supply step
+
+
+@pytest.mark.parametrize("build,kind,cutoff", [
+    *((build, kind, cutoff) for build in (critical_pp, _ring5, _ring8)
+      for kind, cutoff in (("pull-priority", 0), ("push-priority", 0), ("threshold", 0), ("threshold", 2))),
+    (build_two_stream_example, "pull-priority", 0), (build_two_stream_example, "push-priority", 0),
+    (_three_stream, "pull-priority", 0), *((line, "pull-priority", 0) for line in _STARVING),
+])
+def test_built_in_ids_fold_each_servers_first_qualifying_choice(build, kind, cutoff):
+    # Random states with queues at, below and just above the cutoff; rows
+    # where a server starves must fail with the reference's first such row.
+    net = build()
+    pol = make_policy(net, kind, threshold=cutoff if kind == "threshold" else None)
+    ref = _per_server_reference(net, kind, cutoff)
+    states = np.random.default_rng(21).integers(0, cutoff + 3, size=(400, net.n_queues))
+    want, errors = {}, []
+    for row, z in enumerate(map(tuple, states.tolist())):
+        try:
+            want[row] = ref(z)
+        except PolicyError as err:
+            errors.append(str(err))
+    assert pol.choose_batch(states[list(want)]).tolist() == list(want.values())
+    assert bool(errors) == (build in _STARVING)
+    if errors:
+        with pytest.raises(PolicyError) as err:
+            pol.choose_batch(states)
+        assert str(err.value) == errors[0]
+
+
 def test_custom_policies_run_once_per_row_in_row_order():
     net = critical_pp()
     seen = []
@@ -615,13 +686,12 @@ def _reference_tables(net, alpha):
 
 
 def _table_views(tables):
-    """The flat-id tables in the reference's (row, outcome, ...) shapes;
-    the last cumulative column, +inf in every row, is not stored."""
+    """The flat-id tables in the reference's (row, outcome, ...) shapes."""
     rows, width = len(tables.drain), tables.width
-    assert tables.cum.shape == (width - 1, rows) and tables.cum.flags.c_contiguous
+    assert tables.cum.shape == (rows * width,)
     assert tables.disp.shape == (rows * width, tables.drain.shape[1])
     views = {
-        "cum": np.column_stack([*tables.cum, np.full(rows, np.inf)]),
+        "cum": tables.cum.reshape(rows, width),
         "disp": tables.disp.reshape(rows, width, -1),
         "moves": tables.moves.reshape(rows, width),
         "drain": tables.drain,
@@ -646,28 +716,41 @@ def _assert_tables_match_reference(net):
     assert plain.incs is None and plain.cum.tobytes() == tables.cum.tobytes()
 
 
-def _assert_flat_ids_match_reference(net):
+def _assert_flat_ids_match_reference(net, guide=True, rows=None):
     """``_Tables.sample`` returns row * width + the outcome that
-    cumulative-sum inversion picks, clamped to the row's last outcome."""
+    cumulative-sum inversion picks, clamped to the row's last outcome.
+
+    Each row (all, or those in ``rows``) is sampled at each of its
+    cumulative sums and both of their float neighbours, at every guide
+    cell edge j/G and the float below it, at both ends and at some
+    interior points; the reference counts the row's float cumsums <= u
+    directly. Returns the tables.
+    """
     from qstab.simulate import _Tables
 
     actions = list_actions(net)
     width = max(len(act.outcomes) for act in actions)
-    cums = [np.cumsum([float(rate / act.total_rate) for _, rate in act.outcomes]) for act in actions]
-    # every cumulative sum, the float just below it, both ends and some interior points
-    us = np.concatenate([*cums, *(np.nextafter(c, 0.0) for c in cums),
-                         [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20)])
-    us = np.unique(us[us < 1.0])
-    rows = np.repeat(np.arange(len(actions)), len(us))
-    u = np.tile(us, len(actions))
-    want = [r * width + min(int(np.searchsorted(cums[r], x, "right")), len(actions[r].outcomes) - 1)
-            for r, x in zip(rows.tolist(), u.tolist())]
-    tables = _Tables(net)
-    states = np.ones((len(rows), net.n_queues), dtype=np.int64)  # every action is available
-    flat = tables.sample(states, rows, u)
-    assert flat.dtype == np.int64 and flat.tolist() == want
-    disps = [actions[f // width].outcomes[f % width][0] for f in want]
+    tables = _Tables(net, guide=guide)
+    assert tables.start is None or tables.start.size == len(actions) * tables.cells <= tables.disp.size
+    edges = np.arange(tables.cells) / tables.cells
+    fixed = [edges, np.nextafter(edges, 0.0), [np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20)]
+    acts, us, want = [], [], []
+    for r in range(len(actions)) if rows is None else rows:
+        outcomes = actions[r].outcomes
+        cum = np.cumsum([float(rate / actions[r].total_rate) for _, rate in outcomes])
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), *fixed])
+        u = np.unique(u[u < 1.0])
+        cum[-1] = np.inf  # the clamp to the last outcome
+        acts.append(np.full(len(u), r))
+        us.append(u)
+        want.append(r * width + np.count_nonzero(cum <= u[:, None], axis=1))
+    acts, us, want = map(np.concatenate, (acts, us, want))
+    states = np.ones((len(acts), net.n_queues), dtype=np.int64)  # every action is available
+    flat = tables.sample(states, acts, us)
+    assert flat.dtype == np.int64 and flat.tolist() == want.tolist()
+    disps = [actions[f // width].outcomes[f % width][0] for f in want.tolist()]
     assert tables.disp.take(flat, axis=0).tolist() == [list(d) for d in disps]
+    return tables
 
 
 def _merging_net():
@@ -709,6 +792,37 @@ def test_flat_outcome_ids_on_the_clamp_net():
 def test_flat_outcome_ids_on_custom_nets(spec):
     m, actions = spec
     _assert_flat_ids_match_reference(build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)]))
+
+
+def _crowded_net():
+    # Four outcomes at rate 1 and twelve at 1/10**6: the first seven sums
+    # lie within 2e-6 of 0, strictly inside one cell of every guide.
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    moves = [tuple(int(i == a) - int(i == b) for i in range(4)) for a in range(4) for b in range(4) if a != b]
+    return build_custom(4, [("crowd", [(d, 1 if k % 4 == 0 else F(1, 10**6))
+                                       for k, d in enumerate(units + moves)])])
+
+
+@pytest.mark.parametrize("build,cells,passes", [
+    (critical_pp, 1, 1),  # two outcomes: a guide cannot save the one pass
+    (lambda: build_ring([1] * 8, [1] * 8), 8, 0),  # every sum k/8 is a cell edge
+    (_crowded_net, 4, 7),
+    (_ring8, None, None), (build_two_stream_example, None, None), (_merging_net, None, None),
+], ids=["pushpull", "ring8-unit", "crowded", "ring8", "two-stream", "merging"])
+def test_guide_sampling_is_exact(build, cells, passes):
+    net = build()
+    tables = _assert_flat_ids_match_reference(net)
+    if cells is not None:
+        assert (tables.cells, tables.passes) == (cells, passes)
+        assert (tables.start is None) == (cells == 1)
+    plain = _assert_flat_ids_match_reference(net, guide=False)
+    assert (plain.cells, plain.passes, plain.start) == (1, tables.width - 1, None)
+
+
+def test_guide_on_ring12_has_no_more_entries_than_disp():
+    net = build_ring(range(1, 13), range(2, 14))
+    rows = np.random.default_rng(12).choice(net.n_actions, 40, replace=False).tolist()
+    assert _assert_flat_ids_match_reference(net, rows=rows).start is not None
 
 
 def test_unavailable_action_error_names_smallest_id_and_its_first_row():
