@@ -7,9 +7,11 @@ addition every action can actually change the weighted length (the
 non-degeneracy condition), no policy can make the network positive
 recurrent. This module computes D exactly, decides exactly whether such
 an alpha exists, builds one from the null space of D when it does, and
-packages the result as a machine-checkable certificate. The family closed
-forms (:func:`family_alpha`) are a separate, independent path to the same
-weights, checked against D; certification never uses them.
+packages the result as a machine-checkable certificate; the null space
+is read from rows built from the server menus (:func:`spanning_rows`).
+The family closed forms (:func:`family_alpha`) are a separate,
+independent path to the same weights, checked against those rows;
+certification never uses them.
 
 Everything here is exact rational arithmetic; the simulator corroborates
 verdicts statistically but plays no role in them.
@@ -26,7 +28,6 @@ from typing import Iterable, Sequence
 
 from . import exactla
 from .netmodel import (
-    Choice,
     NetworkSpec,
     ReentrantMeta,
     RingMeta,
@@ -144,44 +145,19 @@ class HarmonicCertificate:
 
 
 def drift_matrix(net: NetworkSpec) -> DriftMatrix:
-    """Expected displacement of each action, rows in action-id order.
+    """Expected displacement of each action, rows in action-id order, built in integers.
 
-    Rows with zero drift (balanced actions) are kept so the matrix shape
-    stays L x M. Each row reads the choices its action id names; no action
-    is built, but the ids are refused above ``MAX_ACTIONS``.
-    """
-    return _drift_rows(net, map(net.choices, range(net.listable_actions())))
-
-
-def spanning_drift_matrix(net: NetworkSpec) -> DriftMatrix:
-    """Drift rows that span the row space of D without listing every action.
-
-    The rows are those of the action c0 taking every server's first choice
-    and of each action that switches one server of c0 to another choice:
-    1 + sum_s (|menu_s| - 1) rows. With u_s(k) the rate-weighted
-    displacement of choice k of server s, the drift of action c is a
-    positive multiple of u_c = sum_s u_s(c_s) = u_c0 + sum_s (u_{c0, s->c_s}
-    - u_c0), so these rows give D's rank and null space. A custom network
-    has one server, and its rows are all of D.
-    """
-    first = [menu[0] for menu in net.menus]
-    vectors = [first]
-    for s, menu in enumerate(net.menus):
-        vectors += [first[:s] + [choice] + first[s + 1:] for choice in menu[1:]]
-    return _drift_rows(net, vectors)
-
-
-def _drift_rows(net: NetworkSpec, vectors: Iterable[Sequence[Choice]]) -> DriftMatrix:
-    """One drift row per choice vector, built in integers.
-
-    The outcome rates of the vector's choices over their least common
-    denominator are the weights, and the row's scale is their sum.
+    The outcome rates of the action's choices over their least common
+    denominator are the weights, and the row's scale is their sum. Rows
+    with zero drift (balanced actions) are kept so the matrix shape stays
+    L x M. Each row reads the choices its action id names; no action is
+    built, but the ids are refused above ``MAX_ACTIONS``.
     """
     nonzero = net.displacements
     numerators, scales = [], []
-    for vec in vectors:
-        outcomes = [o for choice in vec for o in choice.outcomes]
-        weights, _ = integer_weights(rate for _, rate in outcomes)
+    for a in range(net.listable_actions()):
+        outcomes = [o for choice in net.choices(a) for o in choice.outcomes]
+        weights = integer_weights(rate for _, rate in outcomes)
         row = [0] * net.n_queues
         for (d, _), w in zip(outcomes, weights):
             for k, x in nonzero[d]:
@@ -191,22 +167,44 @@ def _drift_rows(net: NetworkSpec, vectors: Iterable[Sequence[Choice]]) -> DriftM
     return DriftMatrix(tuple(numerators), tuple(scales))
 
 
-def _spanning_rows(d: DriftMatrix) -> list[tuple[int, ...]]:
-    """The distinct nonzero rows of D in :func:`exactla.primitive` form.
+def spanning_rows(net: NetworkSpec) -> list[tuple[int, ...]]:
+    """Integer rows that span D's row space, read from the menus without listing actions.
 
-    They span the row space of D, so rank and null space are unchanged.
+    Let u_s(k) be the rate-weighted displacement of choice k of server s,
+    every outcome rate written as an integer over one common denominator.
+    The drift of action c is a positive multiple of u_c = sum_s u_s(c_s)
+    = u_c0 + sum_s (u_s(c_s) - u_s(0)), c0 taking every server's first
+    choice. So the rows u_s(k) - u_s(0), for each server s and choice
+    k >= 1, then u_c0, span D's rows, and each lies in D's row space. Only
+    u_c0 is dense; a ring's difference rows have two nonzeros. The rows
+    are returned as :func:`_distinct_rows`.
     """
-    return list(dict.fromkeys(exactla.primitive(row) for row in d.numerators if any(row)))
+    nonzero = net.displacements
+    weights = iter(integer_weights(r for menu in net.menus for c in menu for _, r in c.outcomes))
+    u = [[[0] * net.n_queues for _ in menu] for menu in net.menus]
+    for menu, vectors in zip(net.menus, u):
+        for choice, row in zip(menu, vectors):
+            for (d, _), w in zip(choice.outcomes, weights):
+                for k, x in nonzero[d]:
+                    row[k] += x * w
+    rows = [[x - y for x, y in zip(v, first)] for first, *rest in u for v in rest]
+    rows.append([sum(col) for col in zip(*(first for first, *_ in u))])
+    return _distinct_rows(rows)
+
+
+def _distinct_rows(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The distinct nonzero rows in :func:`exactla.primitive` form: the same row space."""
+    return list(dict.fromkeys(exactla.primitive(row) for row in rows if any(row)))
 
 
 def rank(d: DriftMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(exactla.echelon(_spanning_rows(d))[1])
+    return len(exactla.reduce(_distinct_rows(d.numerators)))
 
 
 def null_space_basis(d: DriftMatrix) -> list[tuple[int, ...]]:
     """Canonical integer basis of {alpha : D alpha = 0}."""
-    return exactla.null_space(_spanning_rows(d), d.n_queues)
+    return exactla.null_space(_distinct_rows(d.numerators), d.n_queues)
 
 
 def sign_matrix(d: DriftMatrix) -> SignMatrix:
@@ -329,7 +327,7 @@ def family_alpha(net: NetworkSpec) -> tuple[Fraction, ...] | None:
 
     Applicable to critical push-pull networks, critical rings with evenly
     many servers, and critical re-entrant networks. The weights are
-    checked against the spanning rows of D. Where they apply, the null
+    checked against :func:`spanning_rows`. Where they apply, the null
     space of D is one-dimensional, so they are a multiple of the basis
     vector that certification finds.
     """
@@ -343,8 +341,7 @@ def family_alpha(net: NetworkSpec) -> tuple[Fraction, ...] | None:
     else:
         # Queue j of a stream weighs the signed work of its steps 0..j-1, stream by stream.
         alpha = tuple(w for s in meta.streams for w in accumulate(map(_signed_work, s[:-1])))
-    d = spanning_drift_matrix(net)
-    if any(sum(r * a for r, a in zip(row, alpha) if r) for row in d.numerators):
+    if any(sum(r * a for r, a in zip(row, alpha) if r) for row in spanning_rows(net)):
         raise ArithmeticError("internal error: closed-form weights are not harmonic")
     return alpha
 
@@ -408,14 +405,14 @@ def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
     at most n - 1 roots. One of the first |menu_s|(n-1)+1 values of t, so
     of the first max_s |menu_s|(n-1)+1, therefore moves every choice of s,
     and so every action, since each action contains one of them; the
-    search stops there. The null space comes from
-    :func:`spanning_drift_matrix` and every test above reads the server
+    search stops there. The null space is read from :func:`spanning_rows`
+    by :func:`exactla.null_space`, and every test above reads the server
     menus, so the L actions are never listed. The alpha found is
     returned in canonical integer form with verdict NON_STABILIZABLE. Else
     the verdict is INCONCLUSIVE with the null space basis attached: no
     certificate exists, which does not assert stability either.
     """
-    basis = tuple(null_space_basis(spanning_drift_matrix(net)))
+    basis = tuple(exactla.null_space(spanning_rows(net), net.n_queues))
     found = _certificate_alpha(net, basis)
     alpha = None if found is None else tuple(map(Fraction, found))
     critical = None if net.family == "custom" else is_critical(net)

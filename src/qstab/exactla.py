@@ -1,80 +1,81 @@
 """Exact linear algebra over the integers.
 
-Rank and null spaces of drift matrices are computed with fraction-free
-(Bareiss) integer elimination followed by integer back substitution, and
-every vector returned is in one canonical form (:func:`primitive`).
-No floating point is used anywhere in this module: the certificates built
-on top of it are exact algebraic objects, and a tolerance-based rank would
-make them meaningless.
+Rank and null spaces of drift matrices are read from one reduced row
+echelon form (:func:`reduce`), built on sparse integer rows with gcd
+divisions only, and every vector returned is in one canonical form
+(:func:`primitive`). No floating point is used anywhere in this module:
+the certificates built on top of it are exact algebraic objects, and a
+tolerance-based rank would make them meaningless.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
-def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
+def reduce(rows: Iterable[Sequence[int]]) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of an integer matrix, as ``{pivot: {column: entry}}``.
 
-    Returns the eliminated matrix and the pivot column indices in order.
-    Every division below is exact (Sylvester's identity); a nonzero
-    remainder would mean the elimination lost exactness, so it is checked.
+    Every row is sparse and primitive, its first nonzero entry (at its
+    pivot column) is positive, and it is zero at the other rows' pivots.
+    Rows are taken one at a time: a new row is reduced against the kept
+    rows, and what is left, if anything, is kept and its pivot cleared
+    from the kept rows. The form is unique, so it depends only on the row
+    space, not on the order of the rows; the rank is its length.
     """
-    m = [list(row) for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if piv is None:
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        new = {c: x for c, x in enumerate(row) if x}
+        # Clearing a pivot adds no other pivot, since kept rows are zero there.
+        for p in [c for c in new if c in kept]:
+            new = _clear(new, kept[p], p)
+        if not new:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                m[i][j] = q
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        q = min(new)
+        g = gcd(*new.values()) if new[q] > 0 else -gcd(*new.values())
+        new = {c: x // g for c, x in new.items()}
+        for p, old in kept.items():
+            if q in old:
+                kept[p] = _clear(old, new, q)
+        kept[q] = new
+    return kept
 
 
-def null_space(rows: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
+def _clear(a: dict[int, int], b: dict[int, int], p: int) -> dict[int, int]:
+    """b[p] a - a[p] b over gcd(a[p], b[p]), content divided out: a with column p cleared.
+
+    b[p] must be positive, so a's entries keep their signs where b is zero.
+    """
+    g = gcd(a[p], b[p])
+    ka, kb = b[p] // g, a[p] // g
+    out = {c: ka * x for c, x in a.items()}
+    for c, y in b.items():
+        z = out.get(c, 0) - kb * y
+        if z:
+            out[c] = z
+        else:
+            del out[c]
+    g = gcd(*out.values())
+    return {c: x // g for c, x in out.items()} if g > 1 else out
+
+
+def null_space(rows: Iterable[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
     """Basis of the right null space of an integer matrix, one vector per free column.
 
-    The vector of free column f is d at f and 0 at the other free columns,
-    d being the last Bareiss pivot (+-det of the pivot block). By Cramer's
-    rule its pivot entries, solved bottom up, are integers, so every
-    division is exact; a remainder is checked, as in :func:`echelon`.
+    The vector of free column f is read off :func:`reduce`: with l the
+    lcm of the pivot entries of the rows b that are nonzero at f, it is l
+    at f, -b[f] l / b[p] at each such row's pivot p, and 0 elsewhere.
     Vectors are in :func:`primitive` form, ordered by f.
     """
-    if rows and rows[0]:
-        ech, pivots = echelon(rows)
-    else:
-        ech, pivots = [], []
-    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+    kept = reduce(rows)
     basis = []
-    for f in (c for c in range(n_cols) if c not in pivots):
-        v = [0] * n_cols
-        v[f] = d
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(ech[r][c] * v[c] for c in range(pc + 1, n_cols))
-            v[pc], rem = divmod(-s, ech[r][pc])
-            if rem:
-                raise ArithmeticError("integer back substitution lost exactness")
-        basis.append(primitive(v))
+    for f in (c for c in range(n_cols) if c not in kept):
+        hits = [(p, b) for p, b in kept.items() if f in b]
+        mult = lcm(*(b[p] for p, b in hits))
+        v = {f: mult} | {p: -b[f] * (mult // b[p]) for p, b in hits}
+        basis.append(primitive([v.get(c, 0) for c in range(n_cols)]))
     return basis
 
 

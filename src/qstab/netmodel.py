@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RateLike = Union[int, str, Fraction]
 Displacement = tuple[int, ...]
@@ -183,12 +183,12 @@ def _combine(action_id: int, choices: Sequence[Choice]) -> ActionSpec:
     return ActionSpec(action_id, label, tuple(sorted(merged.items())))
 
 
-def integer_weights(rates: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The rates as integers over their least common denominator, and that denominator."""
+def integer_weights(rates: Iterable[Fraction]) -> list[int]:
+    """The rates as integers over their least common denominator."""
     rates = list(rates)
     dens = [r.denominator for r in rates]
     scale = lcm(*dens)
-    return [r.numerator * (scale // q) for r, q in zip(rates, dens)], scale
+    return [r.numerator * (scale // q) for r, q in zip(rates, dens)]
 
 
 @dataclass(frozen=True)
@@ -522,8 +522,8 @@ def transition_distribution(
 # ---------------------------------------------------------------------------
 # Spec files: UTF-8 JSON documents describing a network.
 
-def _require_fields(obj: Mapping, names: set[str], where: str) -> None:
-    if not isinstance(obj, Mapping):
+def _require_fields(obj: dict, names: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
         raise SpecFileError(f"{where} must be an object")
     unknown = sorted(set(obj) - names)
     if unknown:

@@ -589,7 +589,7 @@ class _Tables:
         self.actions = actions or list(map(net.action, range(net.listable_actions())))
         probs, disps = [], []
         for act in self.actions:
-            weights, _ = integer_weights(rate for _, rate in act.outcomes)
+            weights = integer_weights(rate for _, rate in act.outcomes)
             total = sum(weights)
             probs += [w / total for w in weights]
             disps += [d for d, _ in act.outcomes]

@@ -37,6 +37,7 @@ from qstab.certify import (
     verify_unit_pairing,
 )
 from qstab.netmodel import (
+    MAX_ACTIONS,
     build_custom,
     build_push_pull,
     build_reentrant,
@@ -270,7 +271,7 @@ def test_sign_rank_equals_drift_rank_on_critical_rings():
         rates = random_rates(rnd, m)
         d = drift_matrix(build_ring(rates, rates))
         dhat = sign_matrix(d)
-        assert len(exactla.echelon(dhat.rows)[1]) == rank(d)
+        assert len(exactla.reduce(dhat.rows)) == rank(d)
 
 
 def test_sign_pattern_all_rows_of_even_ring():
@@ -507,6 +508,35 @@ def test_scaling_invariance():
         assert c0.verdict == c1.verdict and c0.rank == c1.rank and c0.alpha == c1.alpha
 
 
+def _large_ring(m, critical=True):
+    lam = [F(i % 7 + 1, i % 3 + 1) for i in range(m)]
+    return build_ring(lam, lam if critical else [x + 1 for x in lam])
+
+
+def _four_step_line(n_streams):
+    """n critical streams: steps on servers 1, 2, 1, 2 at rates a, a, b, b."""
+    return build_reentrant([[(1, i % 5 + 1), (2, i % 5 + 1), (1, i % 4 + 2), (2, i % 4 + 2)]
+                            for i in range(n_streams)])
+
+
+@pytest.mark.parametrize("net, closed_form", [
+    (_large_ring(160), True),
+    (_large_ring(320), True),
+    (_four_step_line(160), True),
+    (_large_ring(161), False),
+    (_large_ring(160, critical=False), False),
+], ids=["critical-ring-160", "critical-ring-320", "critical-line-160", "odd-ring-161",
+        "noncritical-ring-160"])
+def test_spanning_rows_above_max_actions_match_the_closed_form(net, closed_form):
+    # No drift matrix can be listed here; the closed form is the independent check.
+    assert net.n_actions > MAX_ACTIONS
+    basis = exactla.null_space(certify.spanning_rows(net), net.n_queues)
+    if closed_form:
+        assert basis == [exactla.normalize_integer_vector(family_alpha(net))]
+    else:
+        assert basis == []
+
+
 def test_custom_net_certification_uses_null_space():
     # A custom network equivalent to the critical push-pull network is
     # certified from its null space (no closed form applies).
@@ -563,7 +593,7 @@ def test_blocked_action_is_inconclusive_below_full_rank():
 
 
 def test_certify_builds_drift_once_and_eliminates_once(monkeypatch):
-    calls = {"drift_matrix": 0, "spanning_drift_matrix": 0, "echelon": 0}
+    calls = {"drift_matrix": 0, "spanning_rows": 0, "reduce": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -575,12 +605,12 @@ def test_certify_builds_drift_once_and_eliminates_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(certify, "drift_matrix")
-    counted(certify, "spanning_drift_matrix")
-    counted(exactla, "echelon")
+    counted(certify, "spanning_rows")
+    counted(exactla, "reduce")
     cert = certify_nonstabilizable(build_ring([1] * 4, [1] * 4))
     assert cert.verdict is Verdict.NON_STABILIZABLE
     # the rows come from the menus; the full L x M matrix is never built
-    assert calls == {"drift_matrix": 0, "spanning_drift_matrix": 1, "echelon": 1}
+    assert calls == {"drift_matrix": 0, "spanning_rows": 1, "reduce": 1}
 
 
 def _oracle_null_space(rows, m):
@@ -713,6 +743,7 @@ def test_integer_drift_matches_definition(spec):
     assert all(s > 0 for s in d.scales)
     oracle = [_canonical(v) for v in _oracle_null_space(expected, m)]
     assert null_space_basis(d) == oracle
+    assert exactla.null_space(certify.spanning_rows(net), m) == oracle
     assert rank(d) == m - len(oracle)
 
 

@@ -1,17 +1,18 @@
 """Exact rank / null-space computations against independent oracles.
 
-The production path is fraction-free integer elimination; the oracles here
-are (a) a plain Fraction Gauss-Jordan eliminator written independently in
-this file and (b) floating-point rank at tolerance 1e-9. Agreement of all
+The production path is one sparse reduced row echelon form in integers
+(``exactla.reduce``); the oracles here are (a) a plain Fraction
+Gauss-Jordan eliminator written independently in this file and (b)
+floating-point rank at tolerance 1e-9, which needs numpy. Agreement of all
 three on random matrices is the correctness argument for the exact path.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,7 @@ def fraction_rank(rows) -> int:
 
 def float_rank(rows) -> int:
     """Oracle: floating-point elimination at tolerance 1e-9."""
+    np = pytest.importorskip("numpy")
     return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-9))
 
 
@@ -74,20 +76,20 @@ def integer_rows(rows) -> list[list[int]]:
     return out
 
 
-def echelon_rank(rows) -> int:
-    return len(exactla.echelon(rows)[1])
+def reduce_rank(rows) -> int:
+    return len(exactla.reduce(rows))
 
 
 @settings(max_examples=150, deadline=None)
 @given(int_matrices())
 def test_rank_matches_both_oracles(matrix):
-    assert echelon_rank(matrix) == fraction_rank(matrix) == float_rank(matrix)
+    assert reduce_rank(matrix) == fraction_rank(matrix) == float_rank(matrix)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices())
 def test_rank_on_rational_entries(matrix):
-    assert echelon_rank(integer_rows(matrix)) == fraction_rank(matrix)
+    assert reduce_rank(integer_rows(matrix)) == fraction_rank(matrix)
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,14 +119,14 @@ def test_null_space_vectors_are_canonical(matrix):
 
 def test_echelon_known_case():
     matrix = [[2, 4, 6], [1, 2, 4], [0, 0, 5]]
-    _, pivots = exactla.echelon(matrix)
-    assert pivots == [0, 2]
+    assert sorted(exactla.reduce(matrix)) == [0, 2]
+    assert exactla.reduce(matrix) == {0: {0: 1, 1: 2}, 2: {2: 1}}
 
 
 def test_echelon_skips_zero_columns():
     matrix = [[0, 3, 1], [0, 6, 2]]
-    _, pivots = exactla.echelon(matrix)
-    assert pivots == [1]
+    assert sorted(exactla.reduce(matrix)) == [1]
+    assert exactla.reduce(matrix) == {1: {1: 3, 2: 1}}
     assert exactla.null_space(matrix, 3) == [(1, 0, 0), (0, 1, -3)]
 
 
@@ -135,8 +137,6 @@ def test_normalize_integer_vector():
 
 
 def test_normalize_rejects_zero_vector():
-    import pytest
-
     with pytest.raises(ValueError):
         exactla.normalize_integer_vector([Fraction(0), Fraction(0)])
 
@@ -147,17 +147,12 @@ def test_row_scaling_preserves_rank_and_null_space(matrix, data):
     scales = [data.draw(st.integers(1, 7)) for _ in matrix]
     scaled = [[k * x for x in row] for k, row in zip(scales, matrix)]
     n_cols = len(matrix[0])
-    assert exactla.echelon(scaled)[1] == exactla.echelon(matrix)[1]
+    assert exactla.reduce(scaled) == exactla.reduce(matrix)
     assert exactla.null_space(scaled, n_cols) == exactla.null_space(matrix, n_cols)
 
 
-def gauss_jordan_null_basis(rows, n_cols) -> list[tuple[int, ...]]:
-    """Oracle: the free-column null basis of the reduced row echelon form, canonicalized.
-
-    For free column f, v[f] = 1, v = 0 at the other free columns and
-    v[p_k] = -R[k][f] at pivot column p_k; then coprime integers, first
-    nonzero entry positive.
-    """
+def gauss_jordan(rows, n_cols) -> tuple[list[list[Fraction]], list[int]]:
+    """Oracle: the reduced row echelon form over Fractions, pivots scaled to 1, and its pivots."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in range(n_cols):
@@ -172,6 +167,17 @@ def gauss_jordan_null_basis(rows, n_cols) -> list[tuple[int, ...]]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def gauss_jordan_null_basis(rows, n_cols) -> list[tuple[int, ...]]:
+    """Oracle: the free-column null basis of the reduced row echelon form, canonicalized.
+
+    For free column f, v[f] = 1, v = 0 at the other free columns and
+    v[p_k] = -R[k][f] at pivot column p_k; then coprime integers, first
+    nonzero entry positive.
+    """
+    m, pivots = gauss_jordan(rows, n_cols)
     basis = []
     for f in (c for c in range(n_cols) if c not in pivots):
         v = [Fraction(0)] * n_cols
@@ -212,11 +218,49 @@ def test_null_space_is_the_gauss_jordan_free_column_basis(shaped):
     assert exactla.null_space(integer_rows(matrix), n_cols) == expected
 
 
-def test_back_substitution_checks_every_division(monkeypatch):
-    # Not a Bareiss echelon form: the last pivot 3 does not clear the first pivot 2.
-    monkeypatch.setattr(exactla, "echelon", lambda rows: ([[2, 0, 1], [0, 3, 1]], [0, 1]))
-    with pytest.raises(ArithmeticError, match="back substitution"):
-        exactla.null_space([[1, 0, 0]], 3)
+@st.composite
+def wide_matrices(draw):
+    """(matrix, n_cols) up to 30 columns: sparse or dense rows, integer or rational
+    entries, and some rows that are integer combinations of two earlier rows."""
+    n_cols = draw(st.integers(1, 30))
+    per_row = draw(st.sampled_from([2, 4, n_cols]))
+    entry = draw(st.sampled_from([
+        st.integers(-5, 5),
+        st.integers(-10**6, 10**6),
+        st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12),
+    ]))
+    matrix = []
+    for _ in range(draw(st.integers(0, 24))):
+        if len(matrix) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(matrix)), draw(st.sampled_from(matrix))
+            ka, kb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            matrix.append([ka * x + kb * y for x, y in zip(a, b)])
+            continue
+        row = [0] * n_cols
+        for c in draw(st.sets(st.integers(0, n_cols - 1), max_size=per_row)):
+            row[c] = draw(entry)
+        matrix.append(row)
+    return matrix, n_cols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(wide_matrices(), st.randoms(use_true_random=False))
+def test_reduce_is_the_gauss_jordan_reduced_form(shaped, rnd: random.Random):
+    matrix, n_cols = shaped
+    rows = integer_rows(matrix)
+    reduced = exactla.reduce(rows)
+    oracle, pivots = gauss_jordan(matrix, n_cols)
+    assert sorted(reduced) == pivots
+    assert len(reduced) == fraction_rank(matrix)
+    for p, row in reduced.items():
+        assert min(row) == p and row[p] > 0
+        assert gcd(*row.values()) == 1 and all(row.values())
+        assert not any(q in row for q in reduced if q != p)
+        assert [Fraction(row.get(c, 0), row[p]) for c in range(n_cols)] == oracle[pivots.index(p)]
+    # The form is unique: any order of the rows gives the same one.
+    rnd.shuffle(rows)
+    assert exactla.reduce(rows) == reduced
+    assert exactla.null_space(rows, n_cols) == gauss_jordan_null_basis(matrix, n_cols)
 
 
 def test_primitive_rejects_the_zero_vector():

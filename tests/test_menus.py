@@ -19,14 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dot, list_actions
-from qstab import certify
+from qstab import certify, exactla
 from qstab.certify import (
     check_nondegeneracy_direct,
     check_nondegeneracy_lemma,
     certify_nonstabilizable,
     drift_matrix,
     null_space_basis,
-    spanning_drift_matrix,
+    spanning_rows,
 )
 from qstab.cli import _emit
 from qstab.exactla import normalize_integer_vector
@@ -191,7 +191,8 @@ def test_menu_certificate_matches_the_flat_action_list(net):
     for key in ("verdict", "rank", "M", "L", "null_space_basis"):
         assert exported[key] == family[key]
     assert exported["nondegeneracy"]["direct"] == family["nondegeneracy"]["direct"]
-    assert null_space_basis(spanning_drift_matrix(net)) == null_space_basis(drift_matrix(net))
+    assert exactla.null_space(spanning_rows(net), net.n_queues) == null_space_basis(
+        drift_matrix(net))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
