@@ -480,10 +480,14 @@ def check_int(value: object, what: str) -> int:
     raise ConstructionError(f"{what} must be an integer, got {value!r}")
 
 
-def check_state(z: Sequence[int], n_queues: int) -> State:
-    """``z`` as a tuple of ints of length ``n_queues``, none negative."""
-    state = tuple(check_int(x, "a queue length") for x in z)
-    if len(state) != n_queues:
+def check_state(z: Sequence[int], n_queues: int | None = None) -> State:
+    """``z`` as a tuple of ints, none negative, of length ``n_queues`` if given."""
+    try:
+        entries = tuple(z)
+    except TypeError:
+        raise ConstructionError(f"a state must be a sequence of queue lengths, got {z!r}") from None
+    state = tuple(check_int(x, "a queue length") for x in entries)
+    if n_queues is not None and len(state) != n_queues:
         raise ConstructionError(f"state {state} has length {len(state)}, expected {n_queues}")
     if any(x < 0 for x in state):
         raise ConstructionError(f"state {state} has a negative queue length")

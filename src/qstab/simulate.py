@@ -250,7 +250,8 @@ def _check_batch_seeding() -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters; ``x0=None`` means start at the origin."""
+    """Run parameters; ``x0=None`` means start at the origin, and any other
+    ``x0`` is stored as its checked tuple of ints."""
 
     seed: int = 0
     steps: int = 1000
@@ -268,7 +269,9 @@ class SimConfig:
                 raise ConstructionError(f"{name} must be a positive integer")
         steps = max(self.steps, self.cap)
         if self.x0 is not None:
-            _check_headroom(check_state(self.x0, len(self.x0)), steps)
+            # stored as checked, so a one-shot iterable is read once
+            object.__setattr__(self, "x0", check_state(self.x0))
+            _check_headroom(self.x0, steps)
         elif steps >= 2**63:
             raise ConstructionError(
                 f"steps/cap {steps} is too large: the origin plus {steps} steps reaches 2**63"
@@ -548,14 +551,14 @@ class _Tables:
     ``cum[f]`` is row r's cumulative probability through outcome k, and
     +inf from the row's last outcome on, so the number of a row's entries
     <= u, clamped to the last outcome by the +inf, is the outcome that
-    u picks. ``disp[f]`` is the displacement of outcome f (zero on
-    padding), ``moves[f]`` is its change of the total queue length,
-    ``drain[r]`` marks the queues that row r needs nonempty, and ``incs[f]``
-    (given alpha) is the exact increment of alpha'X of outcome f as a float.
-    Every per-step lookup is a ``take`` on a row or flat id. Each exact
-    alpha.d is computed once per entry of ``net.displacements``, and
-    ``bound`` is the float of the largest |alpha.d| (ValueError if that
-    overflows).
+    u picks. ``rank[f]`` is the position of outcome f's displacement in
+    ``net.displacements``, and ``len(net.displacements)`` on padding;
+    ``disp[f]`` is that displacement, gathered through the rank from the
+    displacements plus one zero row, and ``drain[r]`` marks the queues that
+    row r needs nonempty. A verb that needs another per-outcome value, such
+    as an increment of alpha'X, computes it once per displacement and
+    gathers it through ``rank`` the same way. Every per-step lookup is a
+    ``take`` on a row or flat id.
 
     Each probability is w_k / W in Python ints, where
     ``netmodel.integer_weights`` gives the outcome rates as integers w_k
@@ -573,55 +576,36 @@ class _Tables:
     the cell, K being the most such sums in any one cell. G is the
     smallest power of two that reaches the fewest in-cell sums, with at
     most as many guide entries as ``disp`` has. A table on which the guide
-    saves no pass (K + 1 >= width - 1), or one built with ``guide=False``,
-    takes G = 1, no ``start``, and width - 1 passes from r * width.
-    :func:`step` samples its one-row table once, so it skips the guide,
-    whose build costs more than the passes it saves on one sample.
+    saves no pass (K + 1 >= width - 1) takes G = 1, no ``start``, and
+    width - 1 passes from r * width. G and K depend on the table's data
+    alone, so :func:`step`'s one-row table is built like any other.
     """
 
-    def __init__(
-        self,
-        net: NetworkSpec,
-        actions: Sequence[ActionSpec] | None = None,
-        alpha: Sequence[Fraction] | None = None,
-        guide: bool = True,
-    ):
+    def __init__(self, net: NetworkSpec, actions: Sequence[ActionSpec] | None = None):
         self.actions = actions or list(map(net.action, range(net.listable_actions())))
-        probs, disps = [], []
+        index = {d: i for i, d in enumerate(net.displacements)}
+        probs, ranks = [], []
         for act in self.actions:
             weights = integer_weights(rate for _, rate in act.outcomes)
             total = sum(weights)
             probs += [w / total for w in weights]
-            disps += [d for d, _ in act.outcomes]
+            ranks += [index[d] for d, _ in act.outcomes]
         counts = np.array([len(act.outcomes) for act in self.actions])
         rows, width = len(counts), int(counts.max())
-        # (row, column) and flat id of every outcome in the flat lists
+        # (row, column) of every outcome in the flat lists
         r = np.repeat(np.arange(rows), counts)
         c = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
-        flat = r * width + c
         p = np.zeros((rows, width))
         p[r, c] = probs
         cum = np.cumsum(p, axis=1)
         cum[np.arange(width) >= counts[:, None] - 1] = np.inf
         self.width = width
         self.cum = cum.reshape(-1)
-        self.disp = np.zeros((rows * width, net.n_queues), dtype=np.int64)
-        self.disp[flat] = disps
-        self.moves = self.disp.sum(axis=1)
+        self.rank = np.full(rows * width, len(index), dtype=np.int64)
+        self.rank[r * width + c] = ranks
+        self.disp = np.array([*index, (0,) * net.n_queues], dtype=np.int64).take(self.rank, axis=0)
         self.drain = (self.disp.reshape(rows, width, -1) == -1).any(axis=1)
-        self.cells, self.passes, self.start = (
-            _guide(cum, self.disp.size) if guide else (1, width - 1, None)
-        )
-        self.incs = self.bound = None
-        if alpha is not None:
-            exact = {d: sum(alpha[k] * x for k, x in pairs) for d, pairs in net.displacements.items()}
-            try:
-                self.bound = float(max(map(abs, exact.values())))
-            except OverflowError:
-                raise ValueError("alpha is too large: its increment bound overflows a float") from None
-            increment = {d: float(z) for d, z in exact.items()}
-            self.incs = np.zeros(rows * width)
-            self.incs[flat] = [increment[d] for d in disps]
+        self.cells, self.passes, self.start = _guide(cum, self.disp.size)
 
     def sample(self, states: np.ndarray, acts: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Flat outcome id of each row, given its table row in ``acts`` and its uniform in ``u``.
@@ -713,13 +697,14 @@ def step(
     """One embedded-chain transition from state z.
 
     A batch of one on the engine's code: the policy's action is checked and
-    its availability enforced, then one uniform variate picks the outcome.
+    its availability enforced, then one uniform variate picks the outcome
+    from the action's one-row :class:`_Tables`, built like the engine's.
     """
     state = check_state(z, net.n_queues)
     _check_headroom(state, 1)
     states = np.array([state], dtype=np.int64)
     a = _choose(policy, states, net.n_actions)[0]
-    table = _Tables(net, [net.action(a)], guide=False)
+    table = _Tables(net, [net.action(a)])
     f = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
     return _state(states[0] + table.disp[f])
 
@@ -813,27 +798,36 @@ def martingale_test(
     """Empirical mean and standard error of Z_steps - Z_0 where Z = alpha'X.
 
     alpha must be nonzero, since Z = 0 would be a martingale under any
-    policy. Increments and ``bound`` are floats of the exact values in
-    :class:`_Tables`, so the maximum increment respects the bound by
-    construction. Raises ValueError when alpha is too large for the bound
-    or the statistics to be finite floats.
+    policy. The exact alpha.d is computed once per entry of
+    ``net.displacements``; ``bound`` is the float of the largest |alpha.d|,
+    and each outcome's increment is the float of its alpha.d, gathered
+    through the table's ``rank``, so the maximum increment respects the
+    bound by construction. Raises ValueError when alpha is too large for
+    the bound or the statistics to be finite floats.
     """
-    tables = _Tables(net, alpha=check_alpha(alpha, net.n_queues))
+    alpha = check_alpha(alpha, net.n_queues)
+    tables = _Tables(net)
+    exact = [sum(alpha[k] * x for k, x in pairs) for pairs in net.displacements.values()]
+    try:
+        bound = float(max(map(abs, exact)))
+    except OverflowError:
+        raise ValueError("alpha is too large: its increment bound overflows a float") from None
+    incs = np.array([*map(float, exact), 0.0]).take(tables.rank)
     dz = np.zeros(cfg.trials, dtype=np.float64)
-    used = np.zeros(tables.incs.shape, dtype=bool)
+    used = np.zeros(incs.shape, dtype=bool)
 
     def observe(s, rows, states, flat):
-        dz[rows] += tables.incs.take(flat)
+        dz[rows] += incs.take(flat)
         used.put(flat, True)
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         _run(net, policy, cfg, cfg.steps, tables, observe)
         mean = float(dz.mean())
         std_error = float(dz.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    max_abs = float(np.abs(tables.incs[used]).max()) if used.any() else 0.0
+    max_abs = float(np.abs(incs[used]).max()) if used.any() else 0.0
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise ValueError("alpha is too large: the increment statistics overflow a float")
-    return MartingaleReport(mean, std_error, max_abs, tables.bound)
+    return MartingaleReport(mean, std_error, max_abs, bound)
 
 
 def blowup_probe(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> GrowthReport:
@@ -843,10 +837,11 @@ def blowup_probe(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> GrowthRepo
     sum_t = totals.copy()
     sum_nt = np.zeros(cfg.trials, dtype=np.float64)
     tables = _Tables(net)
+    moves = tables.disp.sum(axis=1)
 
     def observe(s, rows, states, flat):
         batch = totals[rows]
-        batch += tables.moves.take(flat)
+        batch += moves.take(flat)
         sum_t[rows] += batch
         sum_nt[rows] += (s + 1) * batch
 

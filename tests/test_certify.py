@@ -10,14 +10,12 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd, lcm
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dot, label_ids, list_actions
+from helpers import dot, float_rank, gauss_jordan_null_basis, label_ids, list_actions
 from qstab import certify, exactla
 from qstab.certify import (
     UnsupportedFamilyError,
@@ -47,10 +45,6 @@ from qstab.netmodel import (
 )
 
 F = Fraction
-
-
-def float_rank(rows) -> int:
-    return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-9))
 
 
 def random_rates(rnd, n):
@@ -613,32 +607,6 @@ def test_certify_builds_drift_once_and_eliminates_once(monkeypatch):
     assert calls == {"drift_matrix": 0, "spanning_rows": 1, "reduce": 1}
 
 
-def _oracle_null_space(rows, m):
-    """Null space basis by Fraction Gauss-Jordan elimination, independent of exactla."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    for c in range(m):
-        piv = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        r = len(pivots)
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    basis = []
-    for free in (c for c in range(m) if c not in pivots):
-        v = [F(0)] * m
-        v[free] = F(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(v)
-    return basis
-
-
 def _oracle_rows(outcomes_per_action, m):
     """Each action's rate-weighted displacement sum, proportional to its drift row."""
     return [
@@ -678,7 +646,7 @@ def test_verdict_matches_subspace_oracle(spec):
     m, actions = spec
     net = build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)])
     rows = _oracle_rows(actions, m)
-    basis = _oracle_null_space(rows, m)
+    basis = gauss_jordan_null_basis(rows, m)
 
     def moves(v, outs):
         return any(sum(F(x) * y for x, y in zip(d, v)) != 0 for d, _ in outs)
@@ -694,15 +662,6 @@ def test_verdict_matches_subspace_oracle(spec):
         assert all(moves(cert.alpha, outs) for outs in actions)
     else:
         assert cert.alpha is None
-
-
-def _canonical(vec):
-    """Coprime integers with the first nonzero entry positive, computed locally."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [int(x * den) for x in vec]
-    g = gcd(*ints)
-    sign = 1 if next(x for x in ints if x) > 0 else -1
-    return tuple(sign * x // g for x in ints)
 
 
 _rates = st.one_of(
@@ -741,7 +700,7 @@ def test_integer_drift_matches_definition(spec):
                               for k in range(m)))
     assert d.rows == tuple(expected)
     assert all(s > 0 for s in d.scales)
-    oracle = [_canonical(v) for v in _oracle_null_space(expected, m)]
+    oracle = gauss_jordan_null_basis(expected, m)
     assert null_space_basis(d) == oracle
     assert exactla.null_space(certify.spanning_rows(net), m) == oracle
     assert rank(d) == m - len(oracle)

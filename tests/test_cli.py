@@ -131,6 +131,9 @@ def test_diagnostics_and_exit_codes(spec_dir, capsys, tmp_path):
     assert run(["simulate", spec_dir["pp-critical.json"], "--x0", "1,2,3"]) == EXIT_ERROR
     assert "queues" in capsys.readouterr().err
 
+    assert run(["simulate", spec_dir["pp-critical.json"], "--x0", "a,b"]) == EXIT_ERROR
+    assert "--x0 must be comma-separated integers, got 'a,b'" in capsys.readouterr().err
+
     assert run(["frobnicate"]) == EXIT_ERROR
     assert "verb" in capsys.readouterr().err
 

@@ -2,8 +2,8 @@
 
 The production path is one sparse reduced row echelon form in integers
 (``exactla.reduce``); the oracles here are (a) a plain Fraction
-Gauss-Jordan eliminator written independently in this file and (b)
-floating-point rank at tolerance 1e-9, which needs numpy. Agreement of all
+Gauss-Jordan eliminator written independently in ``tests/helpers.py`` and
+(b) floating-point rank at tolerance 1e-9, which needs numpy. Agreement of all
 three on random matrices is the correctness argument for the exact path.
 """
 
@@ -17,35 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dot
+from helpers import dot, float_rank, gauss_jordan, gauss_jordan_null_basis
 from qstab import exactla
 
 
 def fraction_rank(rows) -> int:
-    """Oracle: textbook Gauss-Jordan elimination over Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    rank = 0
-    for c in range(len(m[0])):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def float_rank(rows) -> int:
-    """Oracle: floating-point elimination at tolerance 1e-9."""
-    np = pytest.importorskip("numpy")
-    return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-9))
+    """Oracle: the number of pivots of the Gauss-Jordan form over Fractions."""
+    return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[1])
 
 
 @st.composite
@@ -149,46 +127,6 @@ def test_row_scaling_preserves_rank_and_null_space(matrix, data):
     n_cols = len(matrix[0])
     assert exactla.reduce(scaled) == exactla.reduce(matrix)
     assert exactla.null_space(scaled, n_cols) == exactla.null_space(matrix, n_cols)
-
-
-def gauss_jordan(rows, n_cols) -> tuple[list[list[Fraction]], list[int]]:
-    """Oracle: the reduced row echelon form over Fractions, pivots scaled to 1, and its pivots."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(n_cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    return m[:len(pivots)], pivots
-
-
-def gauss_jordan_null_basis(rows, n_cols) -> list[tuple[int, ...]]:
-    """Oracle: the free-column null basis of the reduced row echelon form, canonicalized.
-
-    For free column f, v[f] = 1, v = 0 at the other free columns and
-    v[p_k] = -R[k][f] at pivot column p_k; then coprime integers, first
-    nonzero entry positive.
-    """
-    m, pivots = gauss_jordan(rows, n_cols)
-    basis = []
-    for f in (c for c in range(n_cols) if c not in pivots):
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
-        for k, p in enumerate(pivots):
-            v[p] = -m[k][f]
-        mult = lcm(*(x.denominator for x in v))
-        ints = [int(x * mult) for x in v]
-        g = gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
-        basis.append(tuple(x // g for x in ints))
-    return basis
 
 
 @st.composite

@@ -26,3 +26,8 @@ def test_render_round_trips_through_json():
 def test_render_refuses_what_is_not_valid_json(bad):
     with pytest.raises(ValueError):
         render_json(bad)
+
+
+def test_render_refuses_an_object_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize object in a report"):
+        render_json({"x": object()})

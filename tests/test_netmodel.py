@@ -6,7 +6,6 @@ import dataclasses
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +212,17 @@ def test_state_validation():
         available_actions(net, (1,))
     with pytest.raises(ConstructionError):
         available_actions(net, (1, -1))
+    not_a_state = "a state must be a sequence of queue lengths, got 5"
+    with pytest.raises(ConstructionError, match=not_a_state):
+        available_actions(net, 5)
+    np = pytest.importorskip("numpy")
+    from qstab.simulate import SimConfig, make_policy, step
+
+    with pytest.raises(ConstructionError, match=not_a_state):
+        SimConfig(x0=5)
+    assert SimConfig(x0=iter([1, 2])).x0 == (1, 2)  # read once, when checked
+    with pytest.raises(ConstructionError, match=not_a_state):
+        step(net, make_policy(net, "pull-priority"), 5, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("z", [(1.5, 0), (1.0, 0), (True, 0), (0, False), ("1", 0), (None, 0)])
@@ -237,7 +247,6 @@ def test_action_ids_must_be_integers_in_range(bad):
     for decode in (net.choices, net.action, lambda a: transition_distribution(net, a)):
         with pytest.raises(ConstructionError):
             decode(bad)
-    assert net.action(np.int64(1)) == net.action(1)
 
 
 def test_an_action_stores_only_its_outcomes():
@@ -311,9 +320,12 @@ def test_custom_displacement_entries_must_be_integers(disp):
 
 
 def test_numpy_integer_displacement_entries_are_ints():
+    np = pytest.importorskip("numpy")
     net = build_custom(2, [("a", [((np.int64(1), np.int8(0)), 1)])])
     (d, _), = net.menus[0][0].outcomes
     assert d == (1, 0) and all(type(x) is int for x in d)
+    pp = build_push_pull(1, 1, 1, 1)
+    assert pp.action(np.int64(1)) == pp.action(1)
 
 
 @pytest.mark.parametrize("n_queues, disp", [(True, (1,)), (2.0, (1, 0)), ("2", (1, 0))])
@@ -398,6 +410,15 @@ def test_loads_each_family():
         ('{"family": "reentrant", "streams": [[{"server": 1.0, "rate": "1"}, {"server": 2, "rate": "1"}]]}', "streams[0][0].server must be 1 or 2"),
         ('{"family": "custom", "M": 0, "actions": []}', "'M'"),
         ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": [{"disp": [1], "rate": "-1"}]}]}', "positive"),
+        ('{"family": "reentrant", "streams": [[1, {"server": 2, "rate": "1"}]]}', "streams[0][0] must be an object"),
+        ('{"family": "reentrant", "streams": []}', "'streams' must be a nonempty list"),
+        ('{"family": "reentrant", "streams": [1]}', "streams[0] must be a list of operations"),
+        ('{"family": "custom", "M": 1, "actions": []}', "'actions' must be a nonempty list"),
+        ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": []}]}', "actions[0].outcomes must be a nonempty list"),
+        ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": [{"disp": [1.5], "rate": "1"}]}]}', "actions[0].outcomes[0].disp must be a list of integers"),
+        # a ConstructionError from the network builders, reported as a SpecFileError
+        ('{"family": "reentrant", "streams": [[{"server": 1, "rate": "1"}]]}', "stream 1 needs at least two steps"),
+        ('{"family": "custom", "M": 2, "actions": [{"label": "x", "outcomes": [{"disp": [1], "rate": "1"}]}]}', "has length 1, expected 2"),
     ],
 )
 def test_spec_file_diagnostics(doc, needle):

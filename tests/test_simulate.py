@@ -654,6 +654,8 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     cases += [(cum[k - 1], k) for k in range(1, 10)]
     cases += [(float(np.nextafter(cum[k], 0.0)), k) for k in range(9)]
     outcomes = net.action(0).outcomes
+    # step's one-row table of "spread" takes a guide, so step samples through it
+    assert _Tables(net, [net.action(0)]).start is not None
     for u, k in cases:
         assert step(net, pol, origin, FixedUniform(u)) == outcomes[k][0]
     tables = _Tables(net)
@@ -664,59 +666,52 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     assert picked.tolist() == [k for _, k in cases]
 
 
-def _reference_tables(net, alpha):
+def _reference_tables(net):
     """The sampling tables built one action at a time, probabilities as
-    floats of the exact rationals."""
+    floats of the exact rationals and ranks as positions in the sorted
+    list of the actions' distinct displacements."""
     actions = list_actions(net)
     rows, width = len(actions), max(len(act.outcomes) for act in actions)
+    distinct = sorted({d for act in actions for d in act.support})
     cum = np.full((rows, width), np.inf)
+    rank = np.full((rows, width), len(distinct), dtype=np.int64)
     disp = np.zeros((rows, width, net.n_queues), dtype=np.int64)
     drain = np.zeros((rows, net.n_queues), dtype=bool)
-    moves = np.zeros((rows, width), dtype=np.int64)
-    incs = np.zeros((rows, width))
     for r, act in enumerate(actions):
         k = len(act.outcomes)
         probs = np.array([float(rate / act.total_rate) for _, rate in act.outcomes])
         cum[r, : k - 1] = np.cumsum(probs)[: k - 1]
-        disp[r, :k] = [d for d, _ in act.outcomes]
-        moves[r, :k] = [sum(d) for d, _ in act.outcomes]
+        rank[r, :k] = [distinct.index(d) for d in act.support]
+        disp[r, :k] = act.support
         drain[r, sorted(act.drains)] = True
-        incs[r, :k] = [float(sum((a * x for a, x in zip(alpha, d)), F(0))) for d, _ in act.outcomes]
-    return {"cum": cum, "disp": disp, "moves": moves, "drain": drain, "incs": incs}
+    return {"cum": cum, "rank": rank, "disp": disp, "drain": drain}
 
 
 def _table_views(tables):
     """The flat-id tables in the reference's (row, outcome, ...) shapes."""
     rows, width = len(tables.drain), tables.width
     assert tables.cum.shape == (rows * width,)
+    assert tables.rank.shape == (rows * width,)
     assert tables.disp.shape == (rows * width, tables.drain.shape[1])
-    views = {
+    return {
         "cum": tables.cum.reshape(rows, width),
+        "rank": tables.rank.reshape(rows, width),
         "disp": tables.disp.reshape(rows, width, -1),
-        "moves": tables.moves.reshape(rows, width),
         "drain": tables.drain,
     }
-    if tables.incs is not None:
-        assert tables.incs.shape == (rows * width,)
-        views["incs"] = tables.incs.reshape(rows, width)
-    return views
 
 
 def _assert_tables_match_reference(net):
     from qstab.simulate import _Tables
 
-    alpha = [F((-1) ** k * (k + 1), 3) for k in range(net.n_queues)]
-    tables = _Tables(net, alpha=alpha)
-    views = _table_views(tables)
-    for name, want in _reference_tables(net, alpha).items():
+    views = _table_views(_Tables(net))
+    for name, want in _reference_tables(net).items():
         got = views[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
-    plain = _Tables(net)
-    assert plain.incs is None and plain.cum.tobytes() == tables.cum.tobytes()
 
 
-def _assert_flat_ids_match_reference(net, guide=True, rows=None):
+def _assert_flat_ids_match_reference(net, rows=None):
     """``_Tables.sample`` returns row * width + the outcome that
     cumulative-sum inversion picks, clamped to the row's last outcome.
 
@@ -730,7 +725,7 @@ def _assert_flat_ids_match_reference(net, guide=True, rows=None):
 
     actions = list_actions(net)
     width = max(len(act.outcomes) for act in actions)
-    tables = _Tables(net, guide=guide)
+    tables = _Tables(net)
     assert tables.start is None or tables.start.size == len(actions) * tables.cells <= tables.disp.size
     edges = np.arange(tables.cells) / tables.cells
     fixed = [edges, np.nextafter(edges, 0.0), [np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20)]
@@ -815,8 +810,6 @@ def test_guide_sampling_is_exact(build, cells, passes):
     if cells is not None:
         assert (tables.cells, tables.passes) == (cells, passes)
         assert (tables.start is None) == (cells == 1)
-    plain = _assert_flat_ids_match_reference(net, guide=False)
-    assert (plain.cells, plain.passes, plain.start) == (1, tables.width - 1, None)
 
 
 def test_guide_on_ring12_has_no_more_entries_than_disp():
