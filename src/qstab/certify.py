@@ -372,6 +372,8 @@ def _certificate_alpha(
     """A null space vector every action can move, or None when none exists."""
     if not basis or not _moves_every_action(basis, net):
         return None
+    if len(basis) == 1:  # the test above was basis[0]'s own
+        return exactla.primitive(basis[0])
     last_t = max(map(len, net.menus)) * (len(basis) - 1) + 1
     alphas = (
         tuple(sum(t**k * b[i] for k, b in enumerate(basis)) for i in range(net.n_queues))

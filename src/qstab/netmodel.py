@@ -213,12 +213,12 @@ class ReentrantMeta:
     def n_streams(self) -> int:
         return len(self.streams)
 
-    @property
+    @cached_property
     def stream_lengths(self) -> tuple[int, ...]:
         """Number of queues per stream (steps excluding the supply step)."""
         return tuple(len(s) - 1 for s in self.streams)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         offs = [0]
         for n in self.stream_lengths:

@@ -16,9 +16,9 @@ Reproducibility contract
   trial's PCG64 state and increment (:func:`_pcg64_states`), and draws
   them through one reused PCG64 by writing a trial's words straight into
   that generator's state memory (:class:`_Streams`). Once per process it
-  reads the word layout of numpy's PCG64 from a known state, raising on
-  an unknown one, and checks that two such streams, across a refill,
-  equal ``trial_rng``'s.
+  draws two such streams across a refill in each known word layout of
+  numpy's PCG64 (:func:`_word_order`), keeps the first whose draws equal
+  ``trial_rng``'s, and raises if neither does.
 * the start state's total (0 for the default origin) plus max(steps,
   cap) stays below 2**63, so no queue length or total overflows the
   engine's int64 states; :class:`SimConfig` refuses anything larger.
@@ -183,42 +183,20 @@ def _state_view(bitgen: np.random.PCG64) -> np.ndarray:
     return np.frombuffer((ctypes.c_uint64 * 4).from_address(words), dtype=np.uint64)
 
 
-@cache
-def _word_order() -> tuple[int, ...]:
-    """The columns of :func:`_pcg64_states` in the order this numpy build stores them.
-
-    A build with a native uint128 stores each 128-bit value as [lo, hi], one
-    without it as [hi, lo]. Read once per process, by setting a known state
-    through the ``state`` dict; any other layout raises RuntimeError.
-    """
-    bitgen = np.random.PCG64(0)
-    known = bitgen.state
-    known["state"] = {"state": 5 << 64 | 7, "inc": 9 << 64 | 11}
-    bitgen.state = known
-    got = tuple(_state_view(bitgen).tolist())
-    layouts = {(7, 5, 11, 9): (0, 1, 2, 3), (5, 7, 9, 11): (1, 0, 3, 2)}
-    if got not in layouts:
-        raise RuntimeError(
-            f"numpy {np.__version__} stores PCG64's state in an unknown layout: state "
-            f"5 * 2**64 + 7 with inc 9 * 2**64 + 11 reads as the words {list(got)}"
-        )
-    return layouts[got]
-
-
 class _Streams:
-    """The ``trial_rng`` streams of trials start..stop-1, drawn through ``gen``.
+    """The streams whose PCG64 state words are the rows of ``words``, drawn through ``gen``.
 
-    ``words`` holds each stream's PCG64 state words in this build's layout
-    (:func:`_word_order`) and ``view`` is gen's own state words (:func:`_state_view`);
-    ``fill`` copies a stream's row into the view, draws, and copies it back
-    when the stream has a later refill. Holding ``gen`` keeps the view's
-    memory alive.
+    ``words`` holds the rows of :func:`_pcg64_states` in this build's word
+    order (:func:`_word_order`) and ``view`` is gen's own state words
+    (:func:`_state_view`); ``fill`` copies a stream's row into the view,
+    draws, and copies it back when the stream has a later refill. Holding
+    ``gen`` keeps the view's memory alive.
     """
 
-    def __init__(self, gen: np.random.Generator, seed: int, start: int, stop: int):
+    def __init__(self, gen: np.random.Generator, words: np.ndarray):
         self.gen = gen
         self.view = _state_view(gen.bit_generator)
-        self.words = _pcg64_states(seed, start, stop)[:, _word_order()]
+        self.words = words
 
     def fill(self, rows: Sequence[int], out: np.ndarray, keep: bool) -> None:
         """Draw ``out[i]`` from stream i for each i in ``rows``; with ``keep``,
@@ -231,21 +209,35 @@ class _Streams:
                 words[i] = view
 
 
+# The columns of _pcg64_states in each known order of numpy's PCG64 state
+# words: [lo, hi] per 128-bit value with a native uint128, [hi, lo] without.
+_WORD_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
+
+
 @cache
-def _check_batch_seeding() -> None:
-    """Compare two batch-seeded streams with ``trial_rng`` once per process,
-    across a refill boundary: the second refill continues from the state
-    words read back after the first."""
+def _word_order() -> tuple[int, ...]:
+    """The columns of :func:`_pcg64_states` in the order this numpy build stores them.
+
+    The first order of ``_WORD_ORDERS`` in which two batch-seeded streams,
+    drawn across a refill (the second continues from the state words read
+    back after the first), equal ``trial_rng``'s; checked once per process.
+    Raises RuntimeError if no order does.
+    """
     seed, trial = _MASK64, 1 << 40
+    want = [trial_rng(seed, t).random(16) for t in (trial, trial + 1)]
+    words = _pcg64_states(seed, trial, trial + 2)
+    gen = np.random.Generator(np.random.PCG64(0))
     got = np.empty((2, 16))
-    streams = _Streams(np.random.Generator(np.random.PCG64(0)), seed, trial, trial + 2)
-    streams.fill([0, 1], got[:, :8], keep=True)
-    streams.fill([0, 1], got[:, 8:], keep=False)
-    if not np.array_equal(got, [trial_rng(seed, t).random(16) for t in (trial, trial + 1)]):
-        raise RuntimeError(
-            f"numpy {np.__version__} seeds PCG64 differently from the simulator's batch "
-            "seeder, so its streams would not be those of trial_rng"
-        )
+    for order in _WORD_ORDERS:
+        streams = _Streams(gen, words[:, order])
+        streams.fill([0, 1], got[:, :8], keep=True)
+        streams.fill([0, 1], got[:, 8:], keep=False)
+        if np.array_equal(got, want):
+            return order
+    raise RuntimeError(
+        f"numpy {np.__version__} seeds or stores PCG64 differently from the simulator's "
+        "batch seeder, so its streams would not be those of trial_rng"
+    )
 
 
 @dataclass(frozen=True)
@@ -576,9 +568,10 @@ class _Tables:
     the cell, K being the most such sums in any one cell. G is the
     smallest power of two that reaches the fewest in-cell sums, with at
     most as many guide entries as ``disp`` has. A table on which the guide
-    saves no pass (K + 1 >= width - 1) takes G = 1, no ``start``, and
-    width - 1 passes from r * width. G and K depend on the table's data
-    alone, so :func:`step`'s one-row table is built like any other.
+    saves no pass (K + 1 >= width - 1), as on any table of width <= 2,
+    takes G = 1, no ``start``, and width - 1 passes from r * width. G and
+    K depend on the table's data alone, so :func:`step`'s one-row table is
+    built like any other.
     """
 
     def __init__(self, net: NetworkSpec, actions: Sequence[ActionSpec] | None = None):
@@ -636,6 +629,8 @@ def _guide(cum: np.ndarray, limit: int) -> tuple[int, int, np.ndarray | None]:
     table of a (rows x width) array of nondecreasing cumulative sums, with
     at most ``limit`` entries; see :class:`_Tables`."""
     rows, width = cum.shape
+    if width <= 2:  # K >= 0, so K + 1 >= width - 1 below
+        return 1, width - 1, None
     row, col = np.nonzero(cum < 1.0)  # the sums that can lie inside a cell
     sums = cum[row, col]
 
@@ -733,12 +728,11 @@ def _run(
     Returns the final states of the rows still live at the end.
     """
     x0 = np.array(_start_state(net, cfg), dtype=np.int64)
-    _check_batch_seeding()
     gen = np.random.Generator(np.random.PCG64(0))  # its state is replaced before every draw
     finals = []
     for start in range(0, cfg.trials, _BATCH):
         rows = slice(start, min(start + _BATCH, cfg.trials))
-        streams = _Streams(gen, cfg.seed, rows.start, rows.stop)
+        streams = _Streams(gen, _pcg64_states(cfg.seed, rows.start, rows.stop)[:, _word_order()])
         b = rows.stop - rows.start
         width = min(_CHUNK, horizon)
         chunk = np.empty((b, width + (8 - width) % 16), dtype=np.float64)
@@ -818,7 +812,7 @@ def martingale_test(
 
     def observe(s, rows, states, flat):
         dz[rows] += incs.take(flat)
-        used.put(flat, True)
+        used[flat] = True
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         _run(net, policy, cfg, cfg.steps, tables, observe)

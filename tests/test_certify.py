@@ -607,6 +607,37 @@ def test_certify_builds_drift_once_and_eliminates_once(monkeypatch):
     assert calls == {"drift_matrix": 0, "spanning_rows": 1, "reduce": 1}
 
 
+@pytest.mark.parametrize("net, calls", [
+    (build_push_pull(1, 1, 1, 1), 1),
+    (build_ring([1] * 4, [1] * 4), 1),
+    (build_two_stream_example(), 1),
+    (swap_network(5), None),  # no basis vector moves every swap, so alpha(t) is walked
+], ids=["push-pull", "ring-4", "two-stream", "swap-5"])
+def test_a_one_vector_null_space_is_tested_once(monkeypatch, net, calls):
+    seen = []
+    moves = certify._moves_every_action
+    monkeypatch.setattr(certify, "_moves_every_action", lambda v, n: seen.append(v) or moves(v, n))
+    cert = certify_nonstabilizable(net)
+    assert cert.verdict is Verdict.NON_STABILIZABLE
+    if calls is None:
+        assert len(seen) > 1 + len(cert.null_space_basis)
+    else:
+        assert len(seen) == calls
+
+
+def test_closed_form_weights_off_the_rows_are_an_internal_error(monkeypatch):
+    monkeypatch.setattr(certify, "spanning_rows", lambda net: [(1, 0)])
+    with pytest.raises(ArithmeticError, match="closed-form weights are not harmonic"):
+        family_alpha(build_push_pull(1, 1, 1, 1))
+
+
+def test_an_unmoved_alpha_walk_is_an_internal_error(monkeypatch):
+    # The basis as a whole moves every action, but no single candidate does.
+    monkeypatch.setattr(certify, "_moves_every_action", lambda vectors, net: len(vectors) > 1)
+    with pytest.raises(ArithmeticError, match=r"no weight vector alpha\(t\) moves every action"):
+        certify_nonstabilizable(swap_network(3))
+
+
 def _oracle_rows(outcomes_per_action, m):
     """Each action's rate-weighted displacement sum, proportional to its drift row."""
     return [

@@ -77,9 +77,13 @@ def test_push_pull_rate_weighting():
     assert dist == {(1, 0): F(1, 3), (0, 1): F(2, 3)}
 
 
-@pytest.mark.parametrize("rates", [(1, 1, 0, 1), (1, -2, 1, 1), ("0/3", 1, 1, 1)])
+@pytest.mark.parametrize(
+    "rates",
+    # a bool is no rate, and a float could be inexact
+    [(1, 1, 0, 1), (1, -2, 1, 1), ("0/3", 1, 1, 1), (True, 1, 1, 1), (1.5, 1, 1, 1)],
+)
 def test_push_pull_rejects_nonpositive_rates(rates):
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="rate"):
         build_push_pull(*rates)
 
 
@@ -173,6 +177,8 @@ def test_reentrant_validation():
         build_reentrant([[(True, 1), (2, 1)]])  # True == 1, but a bool is no server
     with pytest.raises(ConstructionError):
         build_reentrant([[(1, 1), (2, 0)]])
+    with pytest.raises(ConstructionError, match="rate list does not match the two-stream layout"):
+        build_two_stream_example([(1, 1, 1, 1), (1, 1, 1, 1)])
 
 
 def test_reentrant_queue_numbering_round_trip():
@@ -182,6 +188,20 @@ def test_reentrant_queue_numbering_round_trip():
     assert sorted(queues) == list(range(net.n_queues))
     assert meta.entry_queues == frozenset({0, 3})
     assert meta.exit_queues == frozenset({2, 6})
+    for step in (0, 4):  # stream 0 has queues for steps 1..3
+        with pytest.raises(ValueError, match=f"stream 0 has no queue for step {step}"):
+            meta.queue_index(0, step)
+
+
+def test_reentrant_layout_is_computed_once_per_network(monkeypatch):
+    # queue_index runs for every step, so a layout rebuilt per call makes building quadratic
+    calls = []
+    lengths = vars(netmodel.ReentrantMeta)["stream_lengths"]
+    count = lengths.func
+    monkeypatch.setattr(lengths, "func", lambda meta: calls.append(meta) or count(meta))
+    net = build_reentrant([[(1, 1), (2, 1), (1, 1)]] * 40)
+    assert net.n_queues == 80 and len(calls) == 1
+    assert net.meta.offsets is net.meta.offsets
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +331,19 @@ def test_custom_rejects_bad_displacements():
         build_custom(3, [("short", [((1, 0), 1)])])
 
 
+@pytest.mark.parametrize(
+    "n_queues, actions, message",
+    [
+        (0, [("a", [((), 1)])], "a network needs at least one queue"),
+        (1, [], "a network needs at least one action"),
+        (1, [("empty", [])], "action 'empty' has no outcomes"),
+    ],
+)
+def test_custom_network_needs_queues_actions_and_outcomes(n_queues, actions, message):
+    with pytest.raises(ConstructionError, match=message):
+        build_custom(n_queues, actions)
+
+
 
 @pytest.mark.parametrize("disp", [(1.7, -0.2), (1.0, 0), (True, 0), (0, False), ("1", 0)])
 def test_custom_displacement_entries_must_be_integers(disp):
@@ -358,6 +391,7 @@ def test_rational_round_trip():
     assert parse_rational(" 7 ") == F(7)
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(8, 4)) == "2"
+    assert format_rational(3) == "3"
     with pytest.raises(ConstructionError):
         parse_rational("1.5")
     with pytest.raises(ConstructionError):

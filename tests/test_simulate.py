@@ -81,14 +81,19 @@ def test_bulk_and_single_draws_agree():
     assert np.array_equal(bulk, singles)
 
 
+def _streams(seed: int, start: int, stop: int) -> simulate._Streams:
+    """The engine's streams of trials start..stop-1, as ``_run`` builds them."""
+    words = simulate._pcg64_states(seed, start, stop)[:, simulate._word_order()]
+    return simulate._Streams(np.random.Generator(np.random.PCG64(0)), words)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**40 - 1), st.integers(1, 4))
 def test_batch_seeded_streams_are_the_trial_streams(seed, start, trials):
     # Two refills: the second continues from the state read back after the first.
     n = simulate._CHUNK + 37
     out = np.empty((trials, n))
-    gen = np.random.Generator(np.random.PCG64(0))
-    streams = simulate._Streams(gen, seed, start, start + trials)
+    streams = _streams(seed, start, start + trials)
     streams.fill(range(trials), out[:, : simulate._CHUNK], keep=True)
     streams.fill(range(trials), out[:, simulate._CHUNK:], keep=False)
     for i in range(trials):
@@ -132,8 +137,7 @@ def test_one_word_seed_example_has_one_entropy_word():
 def test_refill_of_a_subset_leaves_retired_rows_alone():
     # As in return-time: rows 1, 3 and 4 retire after the first refill.
     seed, n = 2**63 + 5, 20
-    gen = np.random.Generator(np.random.PCG64(0))
-    streams = simulate._Streams(gen, seed, 7, 13)
+    streams = _streams(seed, 7, 13)
     out = np.full((6, 2 * n), np.nan)
     streams.fill(range(6), out[:, :n], keep=True)
     before = streams.words.copy()
@@ -150,37 +154,37 @@ def test_refill_of_a_subset_leaves_retired_rows_alone():
 
 
 def _unchecked_seeding(monkeypatch):
-    monkeypatch.setattr(simulate, "_check_batch_seeding", simulate._check_batch_seeding.__wrapped__)
-    return pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64 differently")
+    """Make ``_word_order`` check afresh on every call, and expect its one error."""
+    monkeypatch.setattr(simulate, "_word_order", simulate._word_order.__wrapped__)
+    message = f"numpy {np.__version__} seeds or stores PCG64 differently"
+    return pytest.raises(RuntimeError, match=message)
 
 
 def test_swapped_word_order_is_caught(monkeypatch):
-    order = simulate._word_order()
-    swapped = [order[1], order[0], *order[2:]]
-    monkeypatch.setattr(simulate, "_word_order", lambda: swapped)
+    swapped = next(order for order in simulate._WORD_ORDERS if order != simulate._word_order())
+    monkeypatch.setattr(simulate, "_WORD_ORDERS", [swapped])
     with _unchecked_seeding(monkeypatch):
-        simulate._check_batch_seeding()
+        simulate._word_order()
 
 
 @pytest.mark.parametrize("bit", [1, 63, 64, 127])
 def test_wrong_pcg64_multiplier_is_caught(monkeypatch, bit):
     monkeypatch.setattr(simulate, "_PCG64_MULT", simulate._PCG64_MULT ^ 1 << bit)
     with _unchecked_seeding(monkeypatch):
-        simulate._check_batch_seeding()
+        simulate._word_order()
 
 
 def test_unknown_state_layout_raises(monkeypatch):
+    # A view that is not the generator's state memory matches no known order.
     monkeypatch.setattr(simulate, "_state_view", lambda bitgen: np.zeros(4, dtype=np.uint64))
-    message = f"numpy {np.__version__} stores PCG64's state in an unknown layout"
-    with pytest.raises(RuntimeError, match=message):
-        simulate._word_order.__wrapped__()
+    with _unchecked_seeding(monkeypatch):
+        simulate._word_order()
 
 
 def test_batch_seeding_is_checked_against_trial_rng(monkeypatch):
     monkeypatch.setattr(simulate, "_MIX_MULT_L", simulate._MIX_MULT_L ^ 1)
-    monkeypatch.setattr(simulate, "_check_batch_seeding", simulate._check_batch_seeding.__wrapped__)
     net = critical_pp()
-    with pytest.raises(RuntimeError, match=f"numpy {np.__version__} seeds PCG64 differently"):
+    with _unchecked_seeding(monkeypatch):
         run_trajectories(net, make_policy(net, "pull-priority"), SimConfig(trials=2, steps=3))
 
 
