@@ -10,7 +10,6 @@ tolerance-based rank would make them meaningless.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -87,10 +86,3 @@ def primitive(ints: Sequence[int]) -> tuple[int, ...]:
     if next(x for x in ints if x) < 0:
         g = -g
     return tuple(x // g for x in ints)
-
-
-def normalize_integer_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Canonical form of a rational vector: :func:`primitive` of it times its denominators' lcm."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs))
-    return primitive([f.numerator * (mult // f.denominator) for f in fracs])

@@ -16,8 +16,9 @@ and listing them all is refused above ``MAX_ACTIONS``.
 Three concrete families are provided (the two-server push-pull network, a
 ring of push-pull servers, and two-server re-entrant lines) plus fully
 custom action lists. The push-pull network is the ring of two servers
-under its own action ids. All rates are exact rationals; this module never
-touches floating point.
+under its own action ids. Custom outcomes are checked as they enter; the
+family builders construct valid ones. All rates are exact rationals; this
+module never touches floating point.
 """
 
 from __future__ import annotations
@@ -149,7 +150,13 @@ class ActionSpec:
 
 @dataclass(frozen=True)
 class Choice:
-    """One entry of a server's menu: a label and its validated outcomes."""
+    """One entry of a server's menu: a label and its outcomes, each a unit
+    displacement with a positive rate.
+
+    Nothing here checks the outcomes: :func:`build_custom` checks outside
+    input, and the family builders construct only valid ones. ``drains``
+    holds the queues some outcome decrements.
+    """
 
     label: str
     outcomes: tuple[tuple[Displacement, Fraction], ...]
@@ -158,17 +165,9 @@ class Choice:
     def support(self) -> frozenset[Displacement]:
         return frozenset(d for d, _ in self.outcomes)
 
-
-def make_choice(
-    label: str, outcomes: Iterable[tuple[Sequence[int], RateLike]], n_queues: int
-) -> Choice:
-    """Validate every outcome of one menu entry once."""
-    if not isinstance(label, str):
-        raise ConstructionError(f"an action label must be a string, got {label!r}")
-    checked = tuple((check_displacement(d, n_queues), as_rate(r)) for d, r in outcomes)
-    if not checked:
-        raise ConstructionError(f"action {label!r} has no outcomes")
-    return Choice(label, checked)
+    @cached_property
+    def drains(self) -> frozenset[int]:
+        return frozenset(d.index(-1) for d, _ in self.outcomes if -1 in d)
 
 
 def _combine(action_id: int, choices: Sequence[Choice]) -> ActionSpec:
@@ -372,8 +371,8 @@ def build_ring(lam: Sequence[RateLike], mu: Sequence[RateLike]) -> NetworkSpec:
     if m < 2:
         raise ConstructionError("a ring needs at least 2 servers")
     menus = tuple(
-        (make_choice("push", [(_unit(m, srv, 1), push[srv])], m),
-         make_choice("pull", [(_unit(m, (srv - 1) % m, -1), pull[(srv - 1) % m])], m))
+        (Choice("push", ((_unit(m, srv, 1), push[srv]),)),
+         Choice("pull", ((_unit(m, (srv - 1) % m, -1), pull[(srv - 1) % m]),)))
         for srv in range(m)
     )
     return NetworkSpec(m, menus, "ring", RingMeta(push, pull))
@@ -407,24 +406,21 @@ def build_reentrant(
     meta = ReentrantMeta(tuple(parsed))
     m = sum(meta.stream_lengths)
 
-    def step_outcome(i: int, j: int) -> tuple[Displacement, Fraction]:
-        n_i = meta.stream_lengths[i]
-        rate = meta.op_rate(i, j)
-        if j == 0:
-            return _unit(m, meta.queue_index(i, 1), 1), rate
-        if j == n_i:
-            return _unit(m, meta.queue_index(i, n_i), -1), rate
+    def step_choice(i: int, j: int) -> Choice:
+        """Step j >= 1 takes a job from queue j, and every step but the last feeds queue j + 1."""
         d = [0] * m
-        d[meta.queue_index(i, j)] = -1
-        d[meta.queue_index(i, j + 1)] = 1
-        return tuple(d), rate
+        if j:
+            d[meta.queue_index(i, j)] = -1
+        if j < meta.stream_lengths[i]:
+            d[meta.queue_index(i, j + 1)] = 1
+        return Choice(f"({i + 1},{j})", ((tuple(d), meta.op_rate(i, j)),))
 
     menus = []
     for server in (1, 2):
         ops = meta.server_operations(server)
         if not ops:
             raise ConstructionError(f"server {server} has no operations")
-        menus.append(tuple(make_choice(f"({i + 1},{j})", [step_outcome(i, j)], m) for i, j in ops))
+        menus.append(tuple(step_choice(i, j) for i, j in ops))
     return NetworkSpec(m, tuple(menus), "reentrant", meta)
 
 
@@ -432,14 +428,21 @@ def build_custom(
     n_queues: int,
     actions: Sequence[tuple[str, Sequence[tuple[Sequence[int], RateLike]]]],
 ) -> NetworkSpec:
-    """A network given directly as a list of (label, outcomes) actions."""
+    """A network given directly as a list of (label, outcomes) actions, checking every outcome."""
     n_queues = check_int(n_queues, "n_queues")
     if n_queues < 1:
         raise ConstructionError("a network needs at least one queue")
     if not actions:
         raise ConstructionError("a network needs at least one action")
-    menu = tuple(make_choice(label, outcomes, n_queues) for label, outcomes in actions)
-    return NetworkSpec(n_queues, (menu,), "custom", None)
+    menu = []
+    for label, outcomes in actions:
+        if not isinstance(label, str):
+            raise ConstructionError(f"an action label must be a string, got {label!r}")
+        checked = tuple((check_displacement(d, n_queues), as_rate(r)) for d, r in outcomes)
+        if not checked:
+            raise ConstructionError(f"action {label!r} has no outcomes")
+        menu.append(Choice(label, checked))
+    return NetworkSpec(n_queues, (tuple(menu),), "custom", None)
 
 
 # Illustrative layout of two re-entrant streams with 3 and 4 queues: the
@@ -462,11 +465,11 @@ def build_two_stream_example(
             (1, 1, 1, 1),
             (Fraction(3, 2), 1, Fraction(3, 2), 1, Fraction(3, 2)),
         )
-    streams = []
-    for layout, stream_rates in zip(TWO_STREAM_LAYOUT, rates, strict=True):
-        if len(layout) != len(stream_rates):
-            raise ConstructionError("rate list does not match the two-stream layout")
-        streams.append(list(zip(layout, stream_rates)))
+    try:  # strict zips raise ValueError on a length mismatch, in streams or in steps
+        streams = [list(zip(layout, r, strict=True))
+                   for layout, r in zip(TWO_STREAM_LAYOUT, rates, strict=True)]
+    except ValueError:
+        raise ConstructionError("rate list does not match the two-stream layout") from None
     return build_reentrant(streams)
 
 

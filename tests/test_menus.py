@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dot, list_actions
+from helpers import dot, list_actions, normalize_integer_vector
 from qstab import certify, exactla
 from qstab.certify import (
     check_nondegeneracy_direct,
@@ -29,7 +31,6 @@ from qstab.certify import (
     spanning_rows,
 )
 from qstab.cli import _emit
-from qstab.exactla import normalize_integer_vector
 from qstab.netmodel import (
     MAX_ACTIONS,
     ReentrantMeta,
@@ -47,7 +48,6 @@ from qstab.netmodel import (
     spec_document,
     transition_distribution,
 )
-from qstab.simulate import SimConfig, make_policy, martingale_test
 
 F = Fraction
 
@@ -260,7 +260,6 @@ def test_one_action_beyond_the_listing_limit():
         total = sum(expected.values())
         assert dict(transition_distribution(net, k)) == {
             d: r / total for d, r in expected.items()}
-    assert "actions" not in net.__dict__
 
 
 def unit_displacements(m: int) -> list[tuple[int, ...]]:
@@ -279,6 +278,16 @@ def custom_nets(draw):
                for i in range(draw(st.integers(1, 4)))]
     actions[0][1].append((actions[0][1][0][0], draw(rate_st)))
     return build_custom(m, actions)
+
+
+def drawn_alphas(net, data) -> list[tuple[int, ...]]:
+    """Two fixed weight vectors, and a drawn nonzero one when ``data`` is given."""
+    m = net.n_queues
+    alphas = [tuple(range(1, m + 1)), (1,) + (0,) * (m - 1)]
+    if data is not None:
+        alphas.append(tuple(data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+                                      .filter(any))))
+    return alphas
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -301,17 +310,9 @@ def test_displacement_index_matches_the_actions(net, data):
     assert sets.external == {k for d in support if d.count(0) == m - 1 for k, x in enumerate(d) if x}
     assert sets.transfers == {(d.index(-1), d.index(1)) for d in support if d.count(0) == m - 2}
 
-    alphas = [tuple(range(1, m + 1)), (1,) + (0,) * (m - 1)]
-    if data is not None:
-        alphas.append(tuple(data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)
-                                      .filter(any))))
-    pol = make_policy(net, "custom", resolver=lambda z: 0)
-    cfg = SimConfig(seed=0, trials=2, steps=1, x0=(1,) * m)  # every action is available
-    for alpha in alphas:
+    for alpha in drawn_alphas(net, data):
         assert check_nondegeneracy_direct(net, alpha) == all(
             any(dot(alpha, d) for d in act.support) for act in reference)
-        bound = max(abs(dot(alpha, d)) for act in reference for d in act.support)
-        assert martingale_test(net, pol, alpha, cfg).bound == float(bound)
 
     assert spec_document(net)["actions"] == [
         {"label": act.label,
@@ -320,3 +321,20 @@ def test_displacement_index_matches_the_actions(net, data):
     for z in itertools.product((0, 1), repeat=m):
         assert available_actions(net, z) == {
             act.id for act in reference if all(z[k] for k in act.drains)}
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="the simulator needs numpy")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(custom_nets(), st.data())
+@example(build_push_pull(1, 2, 3, 4), None)
+@example(build_ring([1, 2, 3, 4], [4, 3, 2, 1]), None)
+@example(build_two_stream_example(), None)
+def test_martingale_bound_is_the_largest_increment_over_the_actions(net, data):
+    from qstab.simulate import SimConfig, make_policy, martingale_test
+
+    reference = [net.action(a) for a in range(net.n_actions)]
+    pol = make_policy(net, "custom", resolver=lambda z: 0)
+    cfg = SimConfig(seed=0, trials=2, steps=1, x0=(1,) * net.n_queues)  # every action is available
+    for alpha in drawn_alphas(net, data):
+        bound = max(abs(dot(alpha, d)) for act in reference for d in act.support)
+        assert martingale_test(net, pol, alpha, cfg).bound == float(bound)

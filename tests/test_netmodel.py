@@ -7,7 +7,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import label_ids, list_actions
@@ -177,8 +177,9 @@ def test_reentrant_validation():
         build_reentrant([[(True, 1), (2, 1)]])  # True == 1, but a bool is no server
     with pytest.raises(ConstructionError):
         build_reentrant([[(1, 1), (2, 0)]])
-    with pytest.raises(ConstructionError, match="rate list does not match the two-stream layout"):
-        build_two_stream_example([(1, 1, 1, 1), (1, 1, 1, 1)])
+    for rates in ([(1, 1, 1, 1), (1, 1, 1, 1)], [(1, 1, 1, 1)], [(1, 1, 1, 1), (1,) * 5, (1, 1)]):
+        with pytest.raises(ConstructionError, match="rate list does not match the two-stream layout"):
+            build_two_stream_example(rates)
 
 
 def test_reentrant_queue_numbering_round_trip():
@@ -202,6 +203,54 @@ def test_reentrant_layout_is_computed_once_per_network(monkeypatch):
     net = build_reentrant([[(1, 1), (2, 1), (1, 1)]] * 40)
     assert net.n_queues == 80 and len(calls) == 1
     assert net.meta.offsets is net.meta.offsets
+
+
+def test_family_builds_never_run_the_outside_input_check(monkeypatch):
+    # check_displacement guards outside input; the family builders construct valid outcomes
+    calls = []
+    check = netmodel.check_displacement
+    monkeypatch.setattr(netmodel, "check_displacement", lambda d, m: calls.append(d) or check(d, m))
+    line = [[(1, 1), (2, 2), (1, 3), (2, 4)]] * 5
+    build_push_pull(1, 2, 3, 4)
+    build_ring(range(1, 7), range(6, 0, -1))
+    build_two_stream_example()
+    build_reentrant(line)
+    for doc in (
+        {"family": "pushpull", "lambda": ["1", "2"], "mu": ["3", "4"]},
+        {"family": "ring", "lambda": ["1"] * 6, "mu": ["2"] * 6},
+        {"family": "reentrant",
+         "streams": [[{"server": s, "rate": r} for s, r in stream] for stream in line]},
+    ):
+        loads_spec(json.dumps(doc))
+    assert calls == []
+    build_custom(2, [("a", [((1, 0), 1), ((-1, 1), 1)])])  # outside input is checked
+    assert len(calls) == 2
+
+
+@st.composite
+def rings_and_lines(draw):
+    """Rings of 2 to 12 servers, and lines of one to four streams of two to five steps."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 12))
+        return build_ring([draw(rate_st) for _ in range(m)], [draw(rate_st) for _ in range(m)])
+    streams = []
+    for i in range(draw(st.integers(1, 4))):
+        servers = [draw(st.sampled_from([1, 2])) for _ in range(draw(st.integers(2, 5)))]
+        if i == 0:
+            servers[:2] = [1, 2]  # both servers have work
+        streams.append([(s, draw(rate_st)) for s in servers])
+    return build_reentrant(streams)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(family_nets(), rings_and_lines()))
+@example(build_two_stream_example())
+def test_family_choices_are_valid_by_construction(net):
+    # what check_displacement and as_rate would enforce, had the builders called them
+    for choice in (c for menu in net.menus for c in menu):
+        for d, r in choice.outcomes:
+            assert netmodel.check_displacement(d, net.n_queues) == d
+            assert type(r) is Fraction and r > 0
 
 
 # ---------------------------------------------------------------------------

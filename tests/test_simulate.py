@@ -24,6 +24,7 @@ from qstab.jsonio import render_json
 from qstab.netmodel import (
     MAX_ACTIONS,
     ConstructionError,
+    NetworkSpec,
     ReentrantMeta,
     build_custom,
     build_push_pull,
@@ -344,11 +345,14 @@ def test_choose_batch_matches_scalar_reference_at_the_action_limit(kind, cutoff)
     assert got[-2:].tolist() == [0, MAX_ACTIONS - 1]
 
 
-def test_policy_and_step_at_the_action_limit_build_no_action_list():
+def test_policy_and_step_at_the_action_limit_build_no_action_list(monkeypatch):
     net = build_ring([1] * 14, [1] * 14)
     pol = make_policy(net, "pull-priority")
+    built = []
+    action = NetworkSpec.action
+    monkeypatch.setattr(NetworkSpec, "action", lambda self, a: built.append(a) or action(self, a))
     assert len(step(net, pol, (1,) + (0,) * 13, np.random.default_rng(0))) == 14
-    assert "actions" not in net.__dict__
+    assert len(built) == 1  # the chosen action only, out of 16384
 
 
 BUILT_IN = [
