@@ -258,7 +258,7 @@ def _moves_every_action(vectors: Sequence[Sequence[Fraction | int]], net: Networ
     """
     moving = {d for d, pairs in net.displacements.items()
               if any(sum(v[k] * x for k, x in pairs) for v in vectors)}
-    return any(all(not moving.isdisjoint(c.support) for c in menu) for menu in net.menus)
+    return any(all(any(d in moving for d, _ in c.outcomes) for c in menu) for menu in net.menus)
 
 
 def check_nondegeneracy_lemma(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:

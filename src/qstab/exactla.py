@@ -85,4 +85,4 @@ def primitive(ints: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("cannot normalize the zero vector")
     if next(x for x in ints if x) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)

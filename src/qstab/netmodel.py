@@ -162,10 +162,6 @@ class Choice:
     outcomes: tuple[tuple[Displacement, Fraction], ...]
 
     @cached_property
-    def support(self) -> frozenset[Displacement]:
-        return frozenset(d for d, _ in self.outcomes)
-
-    @cached_property
     def drains(self) -> frozenset[int]:
         return frozenset(d.index(-1) for d, _ in self.outcomes if -1 in d)
 
@@ -292,7 +288,7 @@ class NetworkSpec:
     def displacements(self) -> dict[Displacement, tuple[tuple[int, int], ...]]:
         """The distinct displacements of the menus in lexicographic order, each
         mapped to its nonzero ``(queue, entry)`` pairs; built on first use."""
-        distinct = sorted({d for menu in self.menus for choice in menu for d in choice.support})
+        distinct = sorted({d for menu in self.menus for choice in menu for d, _ in choice.outcomes})
         return {d: tuple((k, x) for k, x in enumerate(d) if x) for d in distinct}
 
     def choices(self, action_id: int) -> tuple[Choice, ...]:
@@ -511,11 +507,16 @@ def available_actions(net: NetworkSpec, z: Sequence[int]) -> set[int]:
     """Ids of the actions that can fire at state z.
 
     An action is available iff every queue it may decrement is nonempty,
-    so no outcome can leave the nonnegative orthant.
+    so no outcome can leave the nonnegative orthant; that is, iff each of
+    its choices is. The ids are read from the menus, and no action is built.
     """
     state = check_state(z, net.n_queues)
-    actions = map(net.action, range(net.listable_actions()))
-    return {a.id for a in actions if all(state[k] >= 1 for k in a.drains)}
+    net.listable_actions()
+    indices = [0]  # mixed-radix indices of the available choice vectors so far
+    for menu in net.menus:
+        ready = [k for k, c in enumerate(menu) if all(state[q] for q in c.drains)]
+        indices = [i * len(menu) + k for i in indices for k in ready]
+    return set(indices) if net.ids is None else {net.ids[i] for i in indices}
 
 
 def transition_distribution(

@@ -563,9 +563,9 @@ class _Tables:
     smallest power of two that reaches the fewest in-cell sums, with at
     most as many guide entries as ``disp`` has. A table on which the guide
     saves no pass (K + 1 >= width - 1), as on any table of width <= 2,
-    takes G = 1, no ``start``, and width - 1 passes from r * width. G and
-    K depend on the table's data alone, so :func:`step`'s one-row table is
-    built like any other.
+    takes G = 1, no ``start``, and width - 1 passes from r * width; so
+    does a one-row table, such as :func:`step`'s, whose one draw cannot
+    repay the search for G.
     """
 
     def __init__(self, net: NetworkSpec, actions: Sequence[ActionSpec] | None = None):
@@ -623,7 +623,7 @@ def _guide(cum: np.ndarray, limit: int) -> tuple[int, int, np.ndarray | None]:
     table of a (rows x width) array of nondecreasing cumulative sums, with
     at most ``limit`` entries; see :class:`_Tables`."""
     rows, width = cum.shape
-    if width <= 2:  # K >= 0, so K + 1 >= width - 1 below
+    if width <= 2 or rows == 1:  # K >= 0, so K + 1 >= width - 1 below at width <= 2
         return 1, width - 1, None
     row, col = np.nonzero(cum < 1.0)  # the sums that can lie inside a cell
     sums = cum[row, col]

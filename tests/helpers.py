@@ -1,11 +1,15 @@
 """Helpers shared by the tests: a network's actions listed one id at a time,
 an exact inner product, a rational vector in the exact engine's canonical
-form, and the linear-algebra oracles that the exact engine is checked
-against: Gauss-Jordan elimination over Fractions, its free-column null
-basis, and a floating-point rank (skipped without numpy)."""
+form, the linear-algebra oracles that the exact engine is checked against
+(Gauss-Jordan elimination over Fractions, its free-column null basis, and
+a floating-point rank, skipped without numpy), and the reference report
+renderer that the one-pass JSON writer is checked against."""
 
 from __future__ import annotations
 
+import json
+import math
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -81,3 +85,31 @@ def float_rank(rows) -> int:
     """Oracle: floating-point rank at tolerance 1e-9; the calling test skips without numpy."""
     np = pytest.importorskip("numpy")
     return int(np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-9))
+
+
+FLOAT_TAG = "@@float17@@:"
+
+
+def reference_render_json(payload) -> str:
+    """Oracle: a report rendered by ``json.dumps(indent=2)``, floats tagged as
+    strings on the way in and written with 17 significant digits on the way
+    out. The tag is reserved, so a string that contains it is refused."""
+
+    def tag(obj):
+        if isinstance(obj, str):
+            if FLOAT_TAG in obj:
+                raise ValueError(f"cannot render the string {obj!r} in a report")
+            return obj
+        if isinstance(obj, bool) or obj is None or isinstance(obj, int):
+            return obj
+        if isinstance(obj, float):
+            if not math.isfinite(obj):
+                raise ValueError(f"cannot render the non-finite float {obj!r} in a report")
+            return FLOAT_TAG + format(obj, ".17g")
+        if isinstance(obj, dict):
+            return {tag(k): tag(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [tag(v) for v in obj]
+        raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+
+    return re.sub(f'"{FLOAT_TAG}([^"]*)"', r"\1", json.dumps(tag(payload), indent=2))

@@ -662,12 +662,12 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     cases += [(cum[k - 1], k) for k in range(1, 10)]
     cases += [(float(np.nextafter(cum[k], 0.0)), k) for k in range(9)]
     outcomes = net.action(0).outcomes
-    # step's one-row table of "spread" takes a guide, so step samples through it
-    assert _Tables(net, [net.action(0)]).start is not None
+    # step's one-row table of "spread" takes no guide, so step samples by passes alone
+    assert _Tables(net, [net.action(0)]).start is None
     for u, k in cases:
         assert step(net, pol, origin, FixedUniform(u)) == outcomes[k][0]
-    tables = _Tables(net)
-    assert tables.width == 11
+    tables = _Tables(net)  # the whole table takes a guide, so the batch samples through it
+    assert tables.width == 11 and tables.start is not None
     us = np.array([u for u, _ in cases])
     rows = len(cases)
     picked = tables.sample(np.zeros((rows, 10), dtype=np.int64), np.zeros(rows, dtype=np.int64), us)
@@ -799,11 +799,13 @@ def test_flat_outcome_ids_on_custom_nets(spec):
 
 def _crowded_net():
     # Four outcomes at rate 1 and twelve at 1/10**6: the first seven sums
-    # lie within 2e-6 of 0, strictly inside one cell of every guide.
+    # lie within 2e-6 of 0, strictly inside one cell of every guide. A
+    # one-outcome second action makes it a two-row table, which takes a guide.
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     moves = [tuple(int(i == a) - int(i == b) for i in range(4)) for a in range(4) for b in range(4) if a != b]
     return build_custom(4, [("crowd", [(d, 1 if k % 4 == 0 else F(1, 10**6))
-                                       for k, d in enumerate(units + moves)])])
+                                       for k, d in enumerate(units + moves)]),
+                            ("one", [(units[0], 1)])])
 
 
 @pytest.mark.parametrize("build,cells,passes", [
