@@ -24,6 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import exactla
@@ -263,13 +264,15 @@ def _moves_every_action(vectors: Sequence[Sequence[Fraction | int]], net: Networ
 
 def check_nondegeneracy_lemma(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
     """Sufficient index-set test: nonzero on external queues, separating on transfers."""
-    vec = check_alpha(alpha, net.n_queues)
+    return _index_set_lemma(net, check_alpha(alpha, net.n_queues))
+
+
+def _index_set_lemma(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:
+    """The index-set test on a weight vector already known to fit the network,
+    such as the integer alpha that certification builds."""
     sets = index_sets(net)
-    if any(vec[i] == 0 for i in sets.external):
-        return False
-    if any(vec[i] == vec[j] for i, j in sets.transfers):
-        return False
-    return True
+    return (all(alpha[i] for i in sets.external)
+            and all(alpha[i] != alpha[j] for i, j in sets.transfers))
 
 
 def is_critical(net: NetworkSpec) -> bool:
@@ -280,12 +283,26 @@ def is_critical(net: NetworkSpec) -> bool:
     stream, the two servers carry equal total mean work per job: the
     signed inverse rates of the stream's steps (:func:`_signed_work`) sum
     to zero. Their partial sums are the closed-form weights.
+
+    The sum is taken in integers. With the stream's step rates n_k / d_k in
+    lowest terms and L = lcm(n_k), L * sum(+-1/rate_k) = sum(+-d_k * (L // n_k)),
+    where each L // n_k divides exactly and the sign is - on server 1. As
+    L > 0, one sum is zero exactly when the other is, with no Fraction built.
     """
     if isinstance(net.meta, RingMeta):
         return net.meta.push_rates == net.meta.pull_rates
     if isinstance(net.meta, ReentrantMeta):
-        return all(sum(map(_signed_work, stream)) == 0 for stream in net.meta.streams)
+        return all(map(_balanced, net.meta.streams))
     raise UnsupportedFamilyError("criticality is undefined for custom networks")
+
+
+def _balanced(stream: Sequence[tuple[int, Fraction]]) -> bool:
+    """True iff the stream's signed work sums to zero, decided in integers (see :func:`is_critical`)."""
+    scale = lcm(*(rate.numerator for _, rate in stream))
+    return not sum(
+        (scale // rate.numerator * rate.denominator) * (-1 if server == 1 else 1)
+        for server, rate in stream
+    )
 
 
 def _signed_work(step: tuple[int, Fraction]) -> Fraction:
@@ -419,6 +436,6 @@ def certify_nonstabilizable(net: NetworkSpec) -> HarmonicCertificate:
     alpha = None if found is None else tuple(map(Fraction, found))
     critical = None if net.family == "custom" else is_critical(net)
     return HarmonicCertificate(
-        alpha, alpha is not None and check_nondegeneracy_lemma(net, alpha),
+        alpha, found is not None and _index_set_lemma(net, found),
         net.n_queues, net.n_actions, critical, basis,
     )

@@ -389,10 +389,11 @@ def build_reentrant(
     for i, stream in enumerate(streams):
         steps = []
         for j, (server, rate) in enumerate(stream):
-            where = f"stream {i + 1} step {j}: server"
-            server = check_int(server, where)
-            if server not in (1, 2):
-                raise ConstructionError(f"{where} must be 1 or 2, got {server!r}")
+            if type(server) is not int or server not in (1, 2):  # a bool is an int, but no server
+                where = f"stream {i + 1} step {j}: server"
+                server = check_int(server, where)
+                if server not in (1, 2):
+                    raise ConstructionError(f"{where} must be 1 or 2, got {server!r}")
             steps.append((server, as_rate(rate)))
         if len(steps) < 2:
             raise ConstructionError(f"stream {i + 1} needs at least two steps")
@@ -401,23 +402,22 @@ def build_reentrant(
         raise ConstructionError("at least one stream is required")
     meta = ReentrantMeta(tuple(parsed))
     m = sum(meta.stream_lengths)
-
-    def step_choice(i: int, j: int) -> Choice:
-        """Step j >= 1 takes a job from queue j, and every step but the last feeds queue j + 1."""
-        d = [0] * m
-        if j:
-            d[meta.queue_index(i, j)] = -1
-        if j < meta.stream_lengths[i]:
-            d[meta.queue_index(i, j + 1)] = 1
-        return Choice(f"({i + 1},{j})", ((tuple(d), meta.op_rate(i, j)),))
-
-    menus = []
-    for server in (1, 2):
-        ops = meta.server_operations(server)
-        if not ops:
+    # One pass in (stream, step) order, the order of server_operations. Step
+    # j >= 1 takes a job from queue j, and every step but the last feeds queue j + 1.
+    menus: tuple[list[Choice], list[Choice]] = ([], [])
+    for i, stream in enumerate(parsed):
+        last = len(stream) - 1
+        for j, (server, rate) in enumerate(stream):
+            d = [0] * m
+            if j:
+                d[meta.queue_index(i, j)] = -1
+            if j < last:
+                d[meta.queue_index(i, j + 1)] = 1
+            menus[server - 1].append(Choice(f"({i + 1},{j})", ((tuple(d), rate),)))
+    for server, menu in enumerate(menus, 1):
+        if not menu:
             raise ConstructionError(f"server {server} has no operations")
-        menus.append(tuple(step_choice(i, j) for i, j in ops))
-    return NetworkSpec(m, tuple(menus), "reentrant", meta)
+    return NetworkSpec(m, tuple(map(tuple, menus)), "reentrant", meta)
 
 
 def build_custom(
@@ -531,6 +531,8 @@ def transition_distribution(
 # Spec files: UTF-8 JSON documents describing a network.
 
 def _require_fields(obj: dict, names: set[str], where: str) -> None:
+    if isinstance(obj, dict) and obj.keys() == names:
+        return
     if not isinstance(obj, dict):
         raise SpecFileError(f"{where} must be an object")
     unknown = sorted(set(obj) - names)

@@ -2,8 +2,10 @@
 an exact inner product, a rational vector in the exact engine's canonical
 form, the linear-algebra oracles that the exact engine is checked against
 (Gauss-Jordan elimination over Fractions, its free-column null basis, and
-a floating-point rank, skipped without numpy), and the reference report
-renderer that the one-pass JSON writer is checked against."""
+a floating-point rank, skipped without numpy), the reference report
+renderer that the one-pass JSON writer is checked against, the Fraction
+signed-work rule that integer criticality is checked against, and a
+strategy for rings and re-entrant lines."""
 
 from __future__ import annotations
 
@@ -14,8 +16,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import strategies as st
 
 from qstab.exactla import primitive
+from qstab.netmodel import build_reentrant, build_ring
 
 
 def list_actions(net):
@@ -113,3 +117,30 @@ def reference_render_json(payload) -> str:
         raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
     return re.sub(f'"{FLOAT_TAG}([^"]*)"', r"\1", json.dumps(tag(payload), indent=2))
+
+
+def signed_work_critical(net) -> bool:
+    """Oracle: a re-entrant network is critical iff on every stream the inverse
+    rates, signed - on server 1 and + on server 2, sum to zero as Fractions."""
+    return all(
+        sum((Fraction(-1 if server == 1 else 1) / rate for server, rate in stream), Fraction(0)) == 0
+        for stream in net.meta.streams
+    )
+
+
+rate_st = st.fractions(min_value=Fraction(1, 6), max_value=Fraction(6), max_denominator=6)
+
+
+@st.composite
+def rings_and_lines(draw):
+    """Rings of 2 to 12 servers, and lines of one to four streams of two to five steps."""
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 12))
+        return build_ring([draw(rate_st) for _ in range(m)], [draw(rate_st) for _ in range(m)])
+    streams = []
+    for i in range(draw(st.integers(1, 4))):
+        servers = [draw(st.sampled_from([1, 2])) for _ in range(draw(st.integers(2, 5)))]
+        if i == 0:
+            servers[:2] = [1, 2]  # both servers have work
+        streams.append([(s, draw(rate_st)) for s in servers])
+    return build_reentrant(streams)

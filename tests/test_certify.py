@@ -12,11 +12,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     dot, float_rank, gauss_jordan_null_basis, label_ids, list_actions, normalize_integer_vector,
+    rings_and_lines, signed_work_critical,
 )
 from qstab import certify, exactla
 from qstab.certify import (
@@ -38,6 +39,7 @@ from qstab.certify import (
 )
 from qstab.netmodel import (
     MAX_ACTIONS,
+    ConstructionError,
     build_custom,
     build_push_pull,
     build_reentrant,
@@ -181,6 +183,68 @@ def test_lemma_implies_direct_on_random_nets():
                 assert check_nondegeneracy_direct(net, alpha)
 
 
+# A custom network certified by alpha = (1, 0): D = 0, and e1 moves both
+# actions, but queue 2 is external with weight 0, so the lemma fails.
+ZERO_ON_AN_EXTERNAL_QUEUE = build_custom(2, [
+    ("a", [((1, 0), 1), ((-1, 0), 1)]),
+    ("b", [((0, 1), 1), ((0, -1), 1), ((1, 0), 1), ((-1, 0), 1)]),
+])
+
+# A custom network certified by alpha = (1, 1): D's rows are multiples of
+# (1, -1), and an outside move of queue 1 moves both actions, but the
+# transfer 1 -> 2 joins two queues of equal weight, so the lemma fails.
+EQUAL_ON_A_TRANSFER = build_custom(2, [
+    ("a", [((1, 0), 1), ((0, -1), 1)]),
+    ("b", [((-1, 1), 1), ((1, 0), 1), ((-1, 0), 1)]),
+])
+
+# Each network with its report's nondegeneracy: (direct, lemma).
+LEMMA_EXAMPLES = {
+    "push-pull": (build_push_pull(1, 2, 1, 2), True, True),
+    "push-pull-unbalanced": (build_push_pull(1, 1, 2, 2), False, False),
+    "ring-4": (build_ring([1, 2, 3, 4], [1, 2, 3, 4]), True, True),
+    "ring-3": (build_ring([1] * 3, [1] * 3), False, False),
+    "critical-stream": (build_reentrant(CRITICAL_STREAM), True, True),
+    "two-stream": (build_two_stream_example(), True, True),
+    "zero-on-an-external-queue": (ZERO_ON_AN_EXTERNAL_QUEUE, True, False),
+    "equal-on-a-transfer": (EQUAL_ON_A_TRANSFER, True, False),
+}
+
+
+def _certified_lemma(net) -> dict:
+    """The report's nondegeneracy, after checking that certify's own lemma is the public one."""
+    cert = certify_nonstabilizable(net)
+    report = cert.to_json_dict()["nondegeneracy"]
+    if cert.alpha is None:
+        assert report["lemma"] is False
+    else:
+        assert report["lemma"] is check_nondegeneracy_lemma(net, cert.alpha)
+    return report
+
+
+@pytest.mark.parametrize("name", LEMMA_EXAMPLES)
+def test_the_certified_lemma_is_the_public_lemma_on_family_examples(name):
+    # certify tests its own integer alpha; the public lemma takes outside input
+    net, direct, lemma = LEMMA_EXAMPLES[name]
+    assert _certified_lemma(net) == {"direct": direct, "lemma": lemma}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(rings_and_lines())
+def test_the_certified_lemma_is_the_public_lemma(net):
+    _certified_lemma(net)
+
+
+def test_the_public_lemma_refuses_a_misfit_alpha():
+    net = build_two_stream_example()
+    with pytest.raises(ConstructionError, match="^alpha has length 6, expected 7$"):
+        check_nondegeneracy_lemma(net, (1,) * 6)
+    with pytest.raises(ConstructionError, match="^alpha must be nonzero$"):
+        check_nondegeneracy_lemma(net, (0,) * 7)
+    with pytest.raises(ConstructionError, match="^alpha must be nonzero$"):
+        check_nondegeneracy_lemma(net, (F(0),) * 7)
+
+
 # ---------------------------------------------------------------------------
 # criticality
 
@@ -193,6 +257,44 @@ def test_is_critical_examples():
     assert not is_critical(build_reentrant(perturbed))
     with pytest.raises(UnsupportedFamilyError):
         is_critical(build_custom(1, [("x", [((1,), 1)])]))
+
+
+HUGE = 2**64 + 1
+
+
+@st.composite
+def reentrant_layouts(draw):
+    """Re-entrant lines of 1-4 streams of 2-5 steps; rates are small or have
+    numerators near 2**64.
+
+    A stream may be made critical by solving its last rate: that step goes to
+    the server its other steps leave short of work, at the rate that balances
+    them, unless they balance already. The first stream starts on server 1
+    then server 2, and keeps both when solved, so both servers have work.
+    """
+    small = st.fractions(min_value=F(1, 9), max_value=F(9), max_denominator=9)
+    huge = st.builds(F, st.integers(2**64 - 2**8, 2**64 + 2**8), st.integers(1, 2**8))
+    rate = st.one_of(small, huge)
+    streams = []
+    for i in range(draw(st.integers(1, 4))):
+        steps = [(draw(st.sampled_from([1, 2])), draw(rate)) for _ in range(draw(st.integers(2, 5)))]
+        if i == 0:
+            steps[:2] = [(1, steps[0][1]), (2, steps[1][1])]
+        if draw(st.booleans()):
+            excess = sum((1 if s == 2 else -1) / r for s, r in steps[:-1])  # server 2's excess work
+            if excess:
+                steps[-1] = (1, 1 / excess) if excess > 0 else (2, -1 / excess)
+        streams.append(steps)
+    return build_reentrant(streams)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(reentrant_layouts())
+@example(build_reentrant([[(1, F(HUGE, 3)), (2, F(HUGE, 3))]]))  # critical
+@example(build_reentrant([[(1, F(HUGE, 3)), (2, F(HUGE + 2, 3))]]))  # equal as floats, not critical
+@example(build_reentrant([[(1, F(HUGE, 7)), (2, F(HUGE, 3)), (2, F(HUGE, 4))], CRITICAL_STREAM[0]]))
+def test_integer_criticality_is_the_fraction_rule(net):
+    assert is_critical(net) is signed_work_critical(net)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import label_ids, list_actions
+from helpers import label_ids, list_actions, rate_st, rings_and_lines
 from qstab import netmodel
 from qstab.netmodel import (
+    Choice,
     ConstructionError,
+    NetworkSpec,
+    ReentrantMeta,
     SpecFileError,
     available_actions,
     build_custom,
@@ -30,8 +33,6 @@ from qstab.netmodel import (
 )
 
 F = Fraction
-
-rate_st = st.fractions(min_value=F(1, 6), max_value=F(6), max_denominator=6)
 
 
 @st.composite
@@ -227,21 +228,6 @@ def test_family_builds_never_run_the_outside_input_check(monkeypatch):
     assert len(calls) == 2
 
 
-@st.composite
-def rings_and_lines(draw):
-    """Rings of 2 to 12 servers, and lines of one to four streams of two to five steps."""
-    if draw(st.booleans()):
-        m = draw(st.integers(2, 12))
-        return build_ring([draw(rate_st) for _ in range(m)], [draw(rate_st) for _ in range(m)])
-    streams = []
-    for i in range(draw(st.integers(1, 4))):
-        servers = [draw(st.sampled_from([1, 2])) for _ in range(draw(st.integers(2, 5)))]
-        if i == 0:
-            servers[:2] = [1, 2]  # both servers have work
-        streams.append([(s, draw(rate_st)) for s in servers])
-    return build_reentrant(streams)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(family_nets(), rings_and_lines()))
 @example(build_two_stream_example())
@@ -251,6 +237,99 @@ def test_family_choices_are_valid_by_construction(net):
         for d, r in choice.outcomes:
             assert netmodel.check_displacement(d, net.n_queues) == d
             assert type(r) is Fraction and r > 0
+
+
+def two_walk_reentrant(streams) -> NetworkSpec:
+    """Reference: the re-entrant builder that walks each server's operations in
+    turn, server 1 first, reading every step through ``ReentrantMeta``."""
+    meta = ReentrantMeta(tuple(tuple((s, F(r)) for s, r in stream) for stream in streams))
+    m = sum(meta.stream_lengths)
+
+    def step_choice(i, j):
+        d = [0] * m
+        if j:
+            d[meta.queue_index(i, j)] = -1
+        if j < meta.stream_lengths[i]:
+            d[meta.queue_index(i, j + 1)] = 1
+        return Choice(f"({i + 1},{j})", ((tuple(d), meta.op_rate(i, j)),))
+
+    menus = tuple(tuple(step_choice(i, j) for i, j in meta.server_operations(server))
+                  for server in (1, 2))
+    return NetworkSpec(m, menus, "reentrant", meta)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rings_and_lines())
+@example(build_two_stream_example())
+def test_reentrant_builder_is_the_two_walk_builder(net):
+    assume(isinstance(net.meta, ReentrantMeta))
+    reference = two_walk_reentrant(net.meta.streams)
+    assert build_reentrant(net.meta.streams) == reference
+    assert [[c.label for c in menu] for menu in net.menus] == [
+        [c.label for c in menu] for menu in reference.menus
+    ]
+
+
+@pytest.mark.parametrize("dtype", ["int64", "int32", "uint8"])
+def test_numpy_integer_servers_build_the_same_network(dtype):
+    np = pytest.importorskip("numpy")
+    streams = [[(1, 1), (2, "2/3"), (1, 3)], [(2, 1), (1, 5), (2, 5), (2, "1/2")]]
+    net = build_reentrant([[(np.dtype(dtype).type(s), r) for s, r in st] for st in streams])
+    assert net == build_reentrant(streams)
+    assert {type(s) for stream in net.meta.streams for s, _ in stream} == {int}
+    with pytest.raises(ConstructionError, match=r"^stream 1 step 1: server must be 1 or 2, got 3$"):
+        build_reentrant([[(1, 1), (np.dtype(dtype).type(3), 1)]])
+
+
+@pytest.mark.parametrize("streams,message", [
+    ([], "at least one stream is required"),
+    ([[(1, 1)]], "stream 1 needs at least two steps"),
+    ([[(1, 1), (2, 1)], [(2, 1)]], "stream 2 needs at least two steps"),
+    ([[(1, 1), (1, 1)]], "server 2 has no operations"),
+    ([[(2, 1), (2, 1)], [(2, 3), (2, 1)]], "server 1 has no operations"),
+    ([[(1, 1), (3, 1)]], "stream 1 step 1: server must be 1 or 2, got 3"),
+    ([[(1, 1), (2, 1)], [(1, 1), (0, 1)]], "stream 2 step 1: server must be 1 or 2, got 0"),
+    ([[(1, 1), (True, 1)]], "stream 1 step 1: server must be an integer, got True"),
+    ([[(1, 1), (False, 1)]], "stream 1 step 1: server must be an integer, got False"),
+    ([[(1, 1), ("2", 1)]], "stream 1 step 1: server must be an integer, got '2'"),
+    ([[(1, 1), (2, 0)]], "rates must be positive, got 0"),
+    ([[(1, 1), (2, 2.5)]], "rate must be an int, 'num/den' string, or Fraction, got float"),
+])
+def test_reentrant_builder_messages(streams, message):
+    with pytest.raises(ConstructionError) as err:
+        build_reentrant(streams)
+    assert str(err.value) == message
+
+
+def _line(*ops):
+    return {"family": "reentrant", "streams": [list(ops)]}
+
+
+ONE_TWO = ({"server": 1, "rate": "1"}, {"server": 2, "rate": "1"})
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_line({"server": 1, "rate": "1"}, {"server": 2}), "missing field 'rate' in streams[0][1]"),
+    (_line({"server": 1, "rate": "1", "z": 2, "a": 1}, ONE_TWO[1]),
+     "unknown field 'a' in streams[0][0]"),
+    (_line({"server": 1, "speed": "1"}, ONE_TWO[1]), "unknown field 'speed' in streams[0][0]"),
+    (_line(ONE_TWO[0], []), "streams[0][1] must be an object"),
+    (_line(ONE_TWO[0], {"server": 3, "rate": "1"}), "streams[0][1].server must be 1 or 2"),
+    (_line(ONE_TWO[0], {"server": 2, "rate": 1.5}),
+     "streams[0][1].rate must be an integer or 'num/den' string"),
+    ({"family": "reentrant", "streams": [list(ONE_TWO)], "x": 1}, "unknown field 'x' in document"),
+    ({"family": "reentrant"}, "missing field 'streams' in document"),
+    ({"family": "ring", "lambda": ["1", "1"]}, "missing field 'mu' in document"),
+    ({"family": "custom", "M": 1, "actions": [{"label": "a"}]},
+     "missing field 'outcomes' in actions[0]"),
+    ({"family": "custom", "M": 1, "actions": [
+        {"label": "a", "outcomes": [{"disp": [1], "rate": "1", "w": 0}]}]},
+     "unknown field 'w' in actions[0].outcomes[0]"),
+])
+def test_spec_field_messages(doc, message):
+    with pytest.raises(SpecFileError) as err:
+        loads_spec(json.dumps(doc))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
