@@ -16,15 +16,16 @@ and listing them all is refused above ``MAX_ACTIONS``.
 Three concrete families are provided (the two-server push-pull network, a
 ring of push-pull servers, and two-server re-entrant lines) plus fully
 custom action lists. The push-pull network is the ring of two servers
-under its own action ids. Custom outcomes are checked as they enter; the
-family builders construct valid ones. All rates are exact rationals; this
-module never touches floating point.
+under its own action ids. Each builder checks every value it is given and
+names a bad one by its path in a spec document. All rates are exact
+rationals; this module never touches floating point.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,16 +57,17 @@ class PolicyError(RuntimeError):
     """A policy selected an action that is not available, or none exists."""
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")  # int() also reads "1_2" and "١٢"
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"num/den"`` or ``"num"`` into an exact Fraction."""
-    s = text.strip()
+    """Parse ``"num/den"`` or ``"num"`` into an exact Fraction: ASCII digits, a
+    sign only on num, whitespace only around the whole."""
+    match = _RATIONAL.fullmatch(text)
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConstructionError(f"not a rational number: {text!r}") from exc
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (TypeError, ValueError, ZeroDivisionError):  # no match, too many digits, or "1/0"
+        raise ConstructionError(f"not a rational number: {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -81,12 +83,10 @@ def as_rate(value: RateLike) -> Fraction:
     """Validate and normalize a processing rate (must be a positive rational)."""
     if isinstance(value, bool):
         raise ConstructionError(f"rate must be a positive rational, got {value!r}")
-    if isinstance(value, Fraction):
-        q = value
-    elif isinstance(value, int):
-        q = Fraction(value)
-    elif isinstance(value, str):
+    if isinstance(value, str):
         q = parse_rational(value)
+    elif isinstance(value, (int, Fraction)):
+        q = Fraction(value)
     else:
         raise ConstructionError(
             f"rate must be an int, 'num/den' string, or Fraction, got {type(value).__name__}"
@@ -337,13 +337,25 @@ def _unit(n: int, k: int, sign: int) -> Displacement:
     return tuple(d)
 
 
+def _each(check, values: Iterable, where: str, *index: int) -> tuple:
+    """``check`` of each value. An error names the value's path as
+    ``where.format(*index, i)``, formatted only then, never per value."""
+    checked = []
+    try:
+        for i, x in enumerate(values):
+            checked.append(check(x))
+    except ConstructionError as exc:
+        raise ConstructionError(f"{where.format(*index, i)}: {exc}") from None
+    return tuple(checked)
+
+
 def build_push_pull(lam1: RateLike, lam2: RateLike, mu1: RateLike, mu2: RateLike) -> NetworkSpec:
     """The two-server push-pull network: the ring of two servers, with its own action ids.
 
     Server 1 pushes stream 1 (rate lam1) or pulls queue 2 (rate mu2);
     server 2 pushes stream 2 (rate lam2) or pulls queue 1 (rate mu1).
     Four actions, one per pair of server choices, with ids 0 (push,push),
-    1 (pull,pull), 2 (push,pull) and 3 (pull,push).
+    1 (pull,pull), 2 (push,pull) and 3 (pull,push). Errors name lam1 ``lambda[0]``, and so on.
     """
     ring = build_ring([lam1, lam2], [mu1, mu2])
     return NetworkSpec(2, ring.menus, "pushpull", ring.meta, (0, 2, 3, 1))
@@ -355,14 +367,12 @@ def build_ring(lam: Sequence[RateLike], mu: Sequence[RateLike]) -> NetworkSpec:
     Server i chooses between pushing stream i (displacement +e_i at rate
     lam[i]) and pulling stream i-1 (displacement -e_{i-1} at rate mu[i-1]),
     indices cyclic. One action per vector of server choices, 2^M total,
-    listed with push before pull and server 0 varying slowest.
+    listed with push before pull and server 0 varying slowest. A bad rate
+    is named by its index, ``lambda[i]: ...`` or ``mu[i]: ...``.
     """
-    push = tuple(as_rate(x) for x in lam)
-    pull = tuple(as_rate(x) for x in mu)
+    push, pull = _each(as_rate, lam, "lambda[{}]"), _each(as_rate, mu, "mu[{}]")
     if len(push) != len(pull):
-        raise ConstructionError(
-            f"push and pull rate vectors differ in length ({len(push)} vs {len(pull)})"
-        )
+        raise ConstructionError(f"lambda and mu differ in length ({len(push)} vs {len(pull)})")
     m = len(push)
     if m < 2:
         raise ConstructionError("a ring needs at least 2 servers")
@@ -383,20 +393,24 @@ def build_reentrant(
     from an unlimited supply, step j >= 1 serves queue j of the stream, and
     the last step removes jobs from the network. Actions pair one server-1
     step with one server-2 step, so the action count is the product of the
-    two servers' step counts.
+    two servers' step counts. An error names its step by 0-based indices,
+    as in a spec file: ``streams[i][j].server`` or ``streams[i][j].rate``.
     """
     parsed = []
     for i, stream in enumerate(streams):
         steps = []
         for j, (server, rate) in enumerate(stream):
             if type(server) is not int or server not in (1, 2):  # a bool is an int, but no server
-                where = f"stream {i + 1} step {j}: server"
+                where = f"streams[{i}][{j}].server"
                 server = check_int(server, where)
                 if server not in (1, 2):
                     raise ConstructionError(f"{where} must be 1 or 2, got {server!r}")
-            steps.append((server, as_rate(rate)))
+            try:
+                steps.append((server, as_rate(rate)))
+            except ConstructionError as exc:
+                raise ConstructionError(f"streams[{i}][{j}].rate: {exc}") from None
         if len(steps) < 2:
-            raise ConstructionError(f"stream {i + 1} needs at least two steps")
+            raise ConstructionError(f"streams[{i}] needs at least two steps")
         parsed.append(tuple(steps))
     if not parsed:
         raise ConstructionError("at least one stream is required")
@@ -420,23 +434,29 @@ def build_reentrant(
     return NetworkSpec(m, tuple(map(tuple, menus)), "reentrant", meta)
 
 
+def _outcome(disp: Sequence[int], rate: RateLike, n_queues: int) -> tuple[Displacement, Fraction]:
+    return check_displacement(disp, n_queues), as_rate(rate)
+
+
 def build_custom(
     n_queues: int,
     actions: Sequence[tuple[str, Sequence[tuple[Sequence[int], RateLike]]]],
 ) -> NetworkSpec:
-    """A network given directly as a list of (label, outcomes) actions, checking every outcome."""
-    n_queues = check_int(n_queues, "n_queues")
+    """A network given directly as a list of (label, outcomes) actions, checking every
+    outcome. Errors say ``M`` for n_queues and name entries as ``actions[i].outcomes[j]``."""
+    n_queues = check_int(n_queues, "M")
     if n_queues < 1:
-        raise ConstructionError("a network needs at least one queue")
+        raise ConstructionError(f"M must be a positive integer, got {n_queues}")
     if not actions:
         raise ConstructionError("a network needs at least one action")
     menu = []
-    for label, outcomes in actions:
+    for i, (label, outcomes) in enumerate(actions):
         if not isinstance(label, str):
-            raise ConstructionError(f"an action label must be a string, got {label!r}")
-        checked = tuple((check_displacement(d, n_queues), as_rate(r)) for d, r in outcomes)
+            raise ConstructionError(f"actions[{i}].label must be a string, got {label!r}")
+        checked = _each(lambda pair: _outcome(*pair, n_queues), outcomes,
+                        "actions[{}].outcomes[{}]", i)
         if not checked:
-            raise ConstructionError(f"action {label!r} has no outcomes")
+            raise ConstructionError(f"actions[{i}] has no outcomes")
         menu.append(Choice(label, checked))
     return NetworkSpec(n_queues, (tuple(menu),), "custom", None)
 
@@ -493,9 +513,11 @@ def check_state(z: Sequence[int], n_queues: int | None = None) -> State:
     return state
 
 
-def check_alpha(alpha: Sequence[Fraction | int], n_queues: int) -> tuple[Fraction, ...]:
-    """``alpha`` as exact rationals: a weight per queue, not all zero."""
-    vec = tuple(Fraction(x) for x in alpha)
+def check_alpha(alpha: Sequence[Fraction | int | str], n_queues: int) -> tuple[Fraction, ...]:
+    """``alpha`` as exact rationals, not all zero: per queue an int (Python or numpy, not a
+    bool), a Fraction or a :func:`parse_rational` string, named ``alpha[k]`` in errors."""
+    vec = _each(lambda x: x if isinstance(x, Fraction) else parse_rational(x) if isinstance(x, str)
+                else Fraction(check_int(x, "a weight")), alpha, "alpha[{}]")
     if len(vec) != n_queues:
         raise ConstructionError(f"alpha has length {len(vec)}, expected {n_queues}")
     if not any(vec):
@@ -530,33 +552,15 @@ def transition_distribution(
 # ---------------------------------------------------------------------------
 # Spec files: UTF-8 JSON documents describing a network.
 
-def _require_fields(obj: dict, names: set[str], where: str) -> None:
+def _require_fields(obj: dict, names: set[str], where: str, *index: int) -> None:
     if isinstance(obj, dict) and obj.keys() == names:
         return
+    where = where.format(*index)
     if not isinstance(obj, dict):
         raise SpecFileError(f"{where} must be an object")
-    unknown = sorted(set(obj) - names)
-    if unknown:
-        raise SpecFileError(f"unknown field {unknown[0]!r} in {where}")
-    missing = sorted(names - set(obj))
-    if missing:
-        raise SpecFileError(f"missing field {missing[0]!r} in {where}")
-
-
-def _rate_field(value: object, where: str) -> Fraction:
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise SpecFileError(f"{where} must be an integer or 'num/den' string")
-    try:
-        return as_rate(value)
-    except ConstructionError as exc:
-        raise SpecFileError(f"{where}: {exc}") from exc
-
-
-def _rate_list(value: object, where: str, length: int | None = None) -> list[Fraction]:
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        need = f" of length {length}" if length is not None else ""
-        raise SpecFileError(f"{where} must be a list{need}")
-    return [_rate_field(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    for problem, keys in (("unknown", obj.keys() - names), ("missing", names - obj.keys())):
+        if keys:
+            raise SpecFileError(f"{problem} field {min(keys)!r} in {where}")
 
 
 def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
@@ -569,8 +573,19 @@ def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _list(value: object, where: str, *index: int) -> list:
+    if not isinstance(value, list):
+        raise SpecFileError(f"{where.format(*index)} must be a list")
+    return value
+
+
 def loads_spec(text: str) -> NetworkSpec:
-    """Parse a network spec document from a JSON string."""
+    """Parse a network spec document from a JSON string.
+
+    Only the document's shape is checked here: JSON syntax, the family, objects
+    with exactly their fields, lists where lists belong, two push-pull rates
+    each. The builder checks every value, naming it by its path in the document.
+    """
     try:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except SpecFileError:
@@ -591,57 +606,31 @@ def loads_spec(text: str) -> NetworkSpec:
     try:
         if family in ("pushpull", "ring"):
             _require_fields(doc, {"family", "lambda", "mu"}, "document")
-            length = 2 if family == "pushpull" else None
-            lam = _rate_list(doc["lambda"], "'lambda'", length)
-            mu = _rate_list(doc["mu"], "'mu'", length)
-            if len(lam) != len(mu) or len(lam) < 2:
-                raise SpecFileError("'lambda' and 'mu' must have equal lengths >= 2")
+            lam, mu = _list(doc["lambda"], "'lambda'"), _list(doc["mu"], "'mu'")
+            if family == "pushpull" and not len(lam) == len(mu) == 2:
+                raise SpecFileError("'lambda' and 'mu' must be lists of length 2")
             return build_ring(lam, mu) if family == "ring" else build_push_pull(*lam, *mu)
         if family == "reentrant":
             _require_fields(doc, {"family", "streams"}, "document")
-            if not isinstance(doc["streams"], list) or not doc["streams"]:
-                raise SpecFileError("'streams' must be a nonempty list")
             streams = []
-            for i, stream in enumerate(doc["streams"]):
-                if not isinstance(stream, list):
-                    raise SpecFileError(f"streams[{i}] must be a list of operations")
+            for i, stream in enumerate(_list(doc["streams"], "'streams'")):
                 ops = []
-                for j, op in enumerate(stream):
-                    where = f"streams[{i}][{j}]"
-                    _require_fields(op, {"server", "rate"}, where)
-                    server = op["server"]
-                    if type(server) is not int or server not in (1, 2):
-                        raise SpecFileError(f"{where}.server must be 1 or 2")
-                    ops.append((server, _rate_field(op["rate"], f"{where}.rate")))
+                for j, op in enumerate(_list(stream, "streams[{}]", i)):
+                    _require_fields(op, {"server", "rate"}, "streams[{}][{}]", i, j)
+                    ops.append((op["server"], op["rate"]))
                 streams.append(ops)
             return build_reentrant(streams)
-        # custom
         _require_fields(doc, {"family", "M", "actions"}, "document")
-        m = doc["M"]
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise SpecFileError("'M' must be a positive integer")
-        if not isinstance(doc["actions"], list) or not doc["actions"]:
-            raise SpecFileError("'actions' must be a nonempty list")
         actions = []
-        for i, entry in enumerate(doc["actions"]):
-            where = f"actions[{i}]"
-            _require_fields(entry, {"label", "outcomes"}, where)
-            if not isinstance(entry["label"], str):
-                raise SpecFileError(f"{where}.label must be a string")
-            if not isinstance(entry["outcomes"], list) or not entry["outcomes"]:
-                raise SpecFileError(f"{where}.outcomes must be a nonempty list")
+        for i, entry in enumerate(_list(doc["actions"], "'actions'")):
+            _require_fields(entry, {"label", "outcomes"}, "actions[{}]", i)
             outcomes = []
-            for j, outcome in enumerate(entry["outcomes"]):
-                owhere = f"{where}.outcomes[{j}]"
-                _require_fields(outcome, {"disp", "rate"}, owhere)
-                disp = outcome["disp"]
-                if not isinstance(disp, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in disp
-                ):
-                    raise SpecFileError(f"{owhere}.disp must be a list of integers")
-                outcomes.append((disp, _rate_field(outcome["rate"], f"{owhere}.rate")))
+            for j, outcome in enumerate(_list(entry["outcomes"], "actions[{}].outcomes", i)):
+                _require_fields(outcome, {"disp", "rate"}, "actions[{}].outcomes[{}]", i, j)
+                disp = _list(outcome["disp"], "actions[{}].outcomes[{}].disp", i, j)
+                outcomes.append((disp, outcome["rate"]))
             actions.append((entry["label"], outcomes))
-        return build_custom(m, actions)
+        return build_custom(doc["M"], actions)
     except ConstructionError as exc:
         raise SpecFileError(str(exc)) from exc
 

@@ -4,8 +4,9 @@ form, the linear-algebra oracles that the exact engine is checked against
 (Gauss-Jordan elimination over Fractions, its free-column null basis, and
 a floating-point rank, skipped without numpy), the reference report
 renderer that the one-pass JSON writer is checked against, the Fraction
-signed-work rule that integer criticality is checked against, and a
-strategy for rings and re-entrant lines."""
+signed-work rule that integer criticality is checked against, a
+strategy for rings and re-entrant lines, and the spec reader that checked
+every value itself, which the shape-only reader is checked against."""
 
 from __future__ import annotations
 
@@ -19,7 +20,16 @@ import pytest
 from hypothesis import strategies as st
 
 from qstab.exactla import primitive
-from qstab.netmodel import build_reentrant, build_ring
+from qstab.netmodel import (
+    FAMILIES,
+    ConstructionError,
+    SpecFileError,
+    as_rate,
+    build_custom,
+    build_push_pull,
+    build_reentrant,
+    build_ring,
+)
 
 
 def list_actions(net):
@@ -144,3 +154,106 @@ def rings_and_lines(draw):
             servers[:2] = [1, 2]  # both servers have work
         streams.append([(s, draw(rate_st)) for s in servers])
     return build_reentrant(streams)
+
+
+def _ref_fields(obj, names, where):
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"{where} must be an object")
+    unknown = sorted(set(obj) - names)
+    if unknown:
+        raise SpecFileError(f"unknown field {unknown[0]!r} in {where}")
+    missing = sorted(names - set(obj))
+    if missing:
+        raise SpecFileError(f"missing field {missing[0]!r} in {where}")
+
+
+def _ref_rate(value, where):
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise SpecFileError(f"{where} must be an integer or 'num/den' string")
+    try:
+        return as_rate(value)
+    except ConstructionError as exc:
+        raise SpecFileError(f"{where}: {exc}") from exc
+
+
+def _ref_rates(value, where, length=None):
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise SpecFileError(f"{where} must be a list")
+    return [_ref_rate(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _ref_no_repeats(pairs):
+    if len({k for k, _ in pairs}) != len(pairs):
+        raise SpecFileError("repeated field")
+    return dict(pairs)
+
+
+def reference_loads_spec(text: str):
+    """Oracle: the spec reader that checked every value before the builder ran,
+    reading rates through ``as_rate`` and so through ``parse_rational``'s grammar.
+
+    It accepts the same documents as ``loads_spec`` and builds equal
+    networks; its messages differ, and are not compared.
+    """
+    try:
+        doc = json.loads(text, object_pairs_hook=_ref_no_repeats)
+    except (RecursionError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise SpecFileError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecFileError("top level must be an object")
+    family = doc.get("family")
+    if family not in FAMILIES:
+        raise SpecFileError("unknown family")
+    try:
+        if family in ("pushpull", "ring"):
+            _ref_fields(doc, {"family", "lambda", "mu"}, "document")
+            length = 2 if family == "pushpull" else None
+            lam = _ref_rates(doc["lambda"], "'lambda'", length)
+            mu = _ref_rates(doc["mu"], "'mu'", length)
+            if len(lam) != len(mu) or len(lam) < 2:
+                raise SpecFileError("'lambda' and 'mu' must have equal lengths >= 2")
+            return build_ring(lam, mu) if family == "ring" else build_push_pull(*lam, *mu)
+        if family == "reentrant":
+            _ref_fields(doc, {"family", "streams"}, "document")
+            if not isinstance(doc["streams"], list) or not doc["streams"]:
+                raise SpecFileError("'streams' must be a nonempty list")
+            streams = []
+            for i, stream in enumerate(doc["streams"]):
+                if not isinstance(stream, list):
+                    raise SpecFileError(f"streams[{i}] must be a list of operations")
+                ops = []
+                for j, op in enumerate(stream):
+                    where = f"streams[{i}][{j}]"
+                    _ref_fields(op, {"server", "rate"}, where)
+                    if type(op["server"]) is not int or op["server"] not in (1, 2):
+                        raise SpecFileError(f"{where}.server must be 1 or 2")
+                    ops.append((op["server"], _ref_rate(op["rate"], f"{where}.rate")))
+                streams.append(ops)
+            return build_reentrant(streams)
+        _ref_fields(doc, {"family", "M", "actions"}, "document")
+        m = doc["M"]
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise SpecFileError("'M' must be a positive integer")
+        if not isinstance(doc["actions"], list) or not doc["actions"]:
+            raise SpecFileError("'actions' must be a nonempty list")
+        actions = []
+        for i, entry in enumerate(doc["actions"]):
+            _ref_fields(entry, {"label", "outcomes"}, f"actions[{i}]")
+            if not isinstance(entry["label"], str):
+                raise SpecFileError(f"actions[{i}].label must be a string")
+            if not isinstance(entry["outcomes"], list) or not entry["outcomes"]:
+                raise SpecFileError(f"actions[{i}].outcomes must be a nonempty list")
+            outcomes = []
+            for j, outcome in enumerate(entry["outcomes"]):
+                where = f"actions[{i}].outcomes[{j}]"
+                _ref_fields(outcome, {"disp", "rate"}, where)
+                disp = outcome["disp"]
+                if not isinstance(disp, list) or not all(
+                    isinstance(x, int) and not isinstance(x, bool) for x in disp
+                ):
+                    raise SpecFileError(f"{where}.disp must be a list of integers")
+                outcomes.append((disp, _ref_rate(outcome["rate"], f"{where}.rate")))
+            actions.append((entry["label"], outcomes))
+        return build_custom(m, actions)
+    except ConstructionError as exc:
+        raise SpecFileError(str(exc)) from exc

@@ -143,6 +143,32 @@ def test_nondegeneracy_direct():
         check_nondegeneracy_direct(net, (1, 0, 0))
 
 
+# Weights that check_alpha refuses, each with the message that names it.
+BAD_WEIGHTS = {
+    "bool": ((True, -1), "alpha[0]: a weight must be an integer, got True"),
+    "float": ((1, 0.5), "alpha[1]: a weight must be an integer, got 0.5"),
+    "exponent": (("1e3", 1), "alpha[0]: not a rational number: '1e3'"),
+    "decimal": ((1, "0.5"), "alpha[1]: not a rational number: '0.5'"),
+    "none": ((None, 1), "alpha[0]: a weight must be an integer, got None"),
+    "word": ((1, "x"), "alpha[1]: not a rational number: 'x'"),
+    "underscore": (("1_2", -1), "alpha[0]: not a rational number: '1_2'"),
+}
+
+
+def test_alpha_weights_are_ints_fractions_or_rational_strings():
+    net = build_push_pull(1, 1, 1, 1)
+    for alpha in ((1, -1), (F(1), "-1"), ("2/2", F(-3, 3)), (" 1 ", "-1/1")):
+        assert check_nondegeneracy_direct(net, alpha)
+    assert not check_nondegeneracy_direct(net, ("0", "1"))
+
+
+@pytest.mark.parametrize("alpha,message", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS.keys())
+def test_alpha_weight_errors_name_the_weight(alpha, message):
+    with pytest.raises(ConstructionError) as err:
+        check_nondegeneracy_direct(build_push_pull(1, 1, 1, 1), alpha)
+    assert str(err.value) == message
+
+
 def test_nondegeneracy_lemma():
     ring = build_ring([1] * 4, [1] * 4)
     assert check_nondegeneracy_lemma(ring, (1, -1, 1, -1))

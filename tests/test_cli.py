@@ -10,6 +10,7 @@ import pytest
 from qstab import cli
 from qstab.cli import EXIT_ERROR, EXIT_INCONCLUSIVE, EXIT_OK, build_parser, run
 from qstab.netmodel import build_push_pull, dump_spec
+from test_netmodel import GRAMMAR_SLIPS
 
 
 @pytest.fixture
@@ -139,6 +140,48 @@ def test_diagnostics_and_exit_codes(spec_dir, capsys, tmp_path):
 
     assert run([]) == EXIT_ERROR
     capsys.readouterr()
+
+
+# The malformed specs that CI's exact-without-numpy job also gives the installed
+# console script: each must end in exit 1 and one error line naming the entry.
+MALFORMED_SPECS = {
+    "invalid-json": ('{"family": "ring", "lambda": [1, 2', "invalid JSON at line 1"),
+    "float-rate": ('{"family": "pushpull", "lambda": [1, 1.5], "mu": [1, 1]}', "lambda[1]: "),
+    "underscore-rate": ('{"family": "ring", "lambda": ["1", "1"], "mu": ["1_2", "1"]}',
+                        "mu[0]: not a rational number: '1_2'"),
+    "server-3": ('{"family": "reentrant", "streams": [[{"server": 1, "rate": "1"}, '
+                 '{"server": 3, "rate": "1"}]]}', "streams[0][1].server must be 1 or 2, got 3"),
+    "short-disp": ('{"family": "custom", "M": 2, "actions": [{"label": "a", "outcomes": '
+                   '[{"disp": [1], "rate": "1"}]}]}', "actions[0].outcomes[0]: displacement (1,)"),
+}
+
+
+@pytest.mark.parametrize("text,where", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_malformed_spec_is_one_error_line(spec_dir, capsys, text, where):
+    assert run(["certify", spec_dir["write"]("bad.json", text)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert where in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", GRAMMAR_SLIPS.values(), ids=GRAMMAR_SLIPS.keys())
+def test_numbers_take_only_ascii_digits(spec_dir, capsys, text):
+    sim = ["--trials", "5", "--steps", "5"]
+    pp = spec_dir["pp-critical.json"]
+    spec = spec_dir["write"]("slip.json", {"family": "pushpull", "lambda": [text, "1"], "mu": ["1", "1"]})
+    assert run(["certify", spec]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: lambda[0]: not a rational number: {text!r}\n"
+    assert run(["martingale", pp, *sim, "--alpha", f"1,{text}"]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: alpha[1]: not a rational number: {text!r}\n"
+    assert run(["simulate", pp, *sim, "--x0", f"{text},0"]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: --x0 must be comma-separated integers, got '{text},0'\n"
+
+
+def test_numbers_take_a_leading_sign_and_surrounding_spaces(spec_dir, capsys):
+    sim = ["--trials", "5", "--steps", "5"]
+    assert run(["martingale", spec_dir["pp-critical.json"], *sim, "--alpha=-1/2,1/2"]) == EXIT_OK
+    assert run(["simulate", spec_dir["pp-critical.json"], *sim, "--x0", " +1 , 2"]) == EXIT_OK
 
 
 def test_custom_export_round_trips(spec_dir, capsys, tmp_path):

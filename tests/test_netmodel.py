@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import label_ids, list_actions, rate_st, rings_and_lines
+from helpers import label_ids, list_actions, rate_st, reference_loads_spec, rings_and_lines
 from qstab import netmodel
 from qstab.netmodel import (
     Choice,
@@ -277,23 +278,35 @@ def test_numpy_integer_servers_build_the_same_network(dtype):
     net = build_reentrant([[(np.dtype(dtype).type(s), r) for s, r in st] for st in streams])
     assert net == build_reentrant(streams)
     assert {type(s) for stream in net.meta.streams for s, _ in stream} == {int}
-    with pytest.raises(ConstructionError, match=r"^stream 1 step 1: server must be 1 or 2, got 3$"):
+    with pytest.raises(ConstructionError, match=r"^streams\[0\]\[1\]\.server must be 1 or 2, got 3$"):
         build_reentrant([[(1, 1), (np.dtype(dtype).type(3), 1)]])
 
 
+# A case whose message changed when messages began to name index paths keeps
+# its earlier id, which quotes the earlier message.
 @pytest.mark.parametrize("streams,message", [
     ([], "at least one stream is required"),
-    ([[(1, 1)]], "stream 1 needs at least two steps"),
-    ([[(1, 1), (2, 1)], [(2, 1)]], "stream 2 needs at least two steps"),
+    pytest.param([[(1, 1)]], "streams[0] needs at least two steps",
+                 id="streams1-stream 1 needs at least two steps"),
+    pytest.param([[(1, 1), (2, 1)], [(2, 1)]], "streams[1] needs at least two steps",
+                 id="streams2-stream 2 needs at least two steps"),
     ([[(1, 1), (1, 1)]], "server 2 has no operations"),
     ([[(2, 1), (2, 1)], [(2, 3), (2, 1)]], "server 1 has no operations"),
-    ([[(1, 1), (3, 1)]], "stream 1 step 1: server must be 1 or 2, got 3"),
-    ([[(1, 1), (2, 1)], [(1, 1), (0, 1)]], "stream 2 step 1: server must be 1 or 2, got 0"),
-    ([[(1, 1), (True, 1)]], "stream 1 step 1: server must be an integer, got True"),
-    ([[(1, 1), (False, 1)]], "stream 1 step 1: server must be an integer, got False"),
-    ([[(1, 1), ("2", 1)]], "stream 1 step 1: server must be an integer, got '2'"),
-    ([[(1, 1), (2, 0)]], "rates must be positive, got 0"),
-    ([[(1, 1), (2, 2.5)]], "rate must be an int, 'num/den' string, or Fraction, got float"),
+    pytest.param([[(1, 1), (3, 1)]], "streams[0][1].server must be 1 or 2, got 3",
+                 id="streams5-stream 1 step 1: server must be 1 or 2, got 3"),
+    pytest.param([[(1, 1), (2, 1)], [(1, 1), (0, 1)]], "streams[1][1].server must be 1 or 2, got 0",
+                 id="streams6-stream 2 step 1: server must be 1 or 2, got 0"),
+    pytest.param([[(1, 1), (True, 1)]], "streams[0][1].server must be an integer, got True",
+                 id="streams7-stream 1 step 1: server must be an integer, got True"),
+    pytest.param([[(1, 1), (False, 1)]], "streams[0][1].server must be an integer, got False",
+                 id="streams8-stream 1 step 1: server must be an integer, got False"),
+    pytest.param([[(1, 1), ("2", 1)]], "streams[0][1].server must be an integer, got '2'",
+                 id="streams9-stream 1 step 1: server must be an integer, got '2'"),
+    pytest.param([[(1, 1), (2, 0)]], "streams[0][1].rate: rates must be positive, got 0",
+                 id="streams10-rates must be positive, got 0"),
+    pytest.param([[(1, 1), (2, 2.5)]],
+                 "streams[0][1].rate: rate must be an int, 'num/den' string, or Fraction, got float",
+                 id="streams11-rate must be an int, 'num/den' string, or Fraction, got float"),
 ])
 def test_reentrant_builder_messages(streams, message):
     with pytest.raises(ConstructionError) as err:
@@ -314,9 +327,12 @@ ONE_TWO = ({"server": 1, "rate": "1"}, {"server": 2, "rate": "1"})
      "unknown field 'a' in streams[0][0]"),
     (_line({"server": 1, "speed": "1"}, ONE_TWO[1]), "unknown field 'speed' in streams[0][0]"),
     (_line(ONE_TWO[0], []), "streams[0][1] must be an object"),
-    (_line(ONE_TWO[0], {"server": 3, "rate": "1"}), "streams[0][1].server must be 1 or 2"),
-    (_line(ONE_TWO[0], {"server": 2, "rate": 1.5}),
-     "streams[0][1].rate must be an integer or 'num/den' string"),
+    pytest.param(_line(ONE_TWO[0], {"server": 3, "rate": "1"}),
+                 "streams[0][1].server must be 1 or 2, got 3",
+                 id="doc4-streams[0][1].server must be 1 or 2"),
+    pytest.param(_line(ONE_TWO[0], {"server": 2, "rate": 1.5}),
+                 "streams[0][1].rate: rate must be an int, 'num/den' string, or Fraction, got float",
+                 id="doc5-streams[0][1].rate must be an integer or 'num/den' string"),
     ({"family": "reentrant", "streams": [list(ONE_TWO)], "x": 1}, "unknown field 'x' in document"),
     ({"family": "reentrant"}, "missing field 'streams' in document"),
     ({"family": "ring", "lambda": ["1", "1"]}, "missing field 'mu' in document"),
@@ -462,14 +478,17 @@ def test_custom_rejects_bad_displacements():
 @pytest.mark.parametrize(
     "n_queues, actions, message",
     [
-        (0, [("a", [((), 1)])], "a network needs at least one queue"),
+        pytest.param(0, [("a", [((), 1)])], "M must be a positive integer, got 0",
+                     id="0-actions0-a network needs at least one queue"),
         (1, [], "a network needs at least one action"),
-        (1, [("empty", [])], "action 'empty' has no outcomes"),
+        pytest.param(1, [("empty", [])], "actions[0] has no outcomes",
+                     id="1-actions2-action 'empty' has no outcomes"),
     ],
 )
 def test_custom_network_needs_queues_actions_and_outcomes(n_queues, actions, message):
-    with pytest.raises(ConstructionError, match=message):
+    with pytest.raises(ConstructionError) as err:
         build_custom(n_queues, actions)
+    assert str(err.value) == message
 
 
 
@@ -492,7 +511,7 @@ def test_numpy_integer_displacement_entries_are_ints():
 @pytest.mark.parametrize("n_queues, disp", [(True, (1,)), (2.0, (1, 0)), ("2", (1, 0))])
 def test_custom_queue_count_must_be_an_integer(n_queues, disp):
     # True would pass n_queues >= 1 and report "M": true; 2.0 would fail only in certify
-    with pytest.raises(ConstructionError, match="n_queues must be an integer"):
+    with pytest.raises(ConstructionError, match=f"^M must be an integer, got {n_queues!r}$"):
         build_custom(n_queues, [("a", [(disp, 1), (tuple(-x for x in disp), 1)])])
 
 
@@ -505,9 +524,9 @@ def test_action_labels_must_be_strings(label):
 
 @pytest.mark.parametrize("server", [1.0, 2.0, True])
 def test_reentrant_servers_must_be_integers(server):
-    message = f"stream 1 step 0: server must be an integer, got {server!r}"
-    with pytest.raises(ConstructionError, match=message):
+    with pytest.raises(ConstructionError) as err:
         build_reentrant([[(server, 1), (2, 1)]])
+    assert str(err.value) == f"streams[0][0].server must be an integer, got {server!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +543,29 @@ def test_rational_round_trip():
         parse_rational("1.5")
     with pytest.raises(ConstructionError):
         parse_rational("1/0")
+
+
+# Slips that int() would read as a number: an underscore, non-ASCII digits, a
+# signed denominator, spaces inside, and digits beyond the int conversion limit.
+GRAMMAR_SLIPS = {"underscore": "1_2", "arabic-indic": "\u0661\u0662", "signed-den": "1/-2",
+                 "inner-space": "1 / 2", "over-long": "9" * 5000}
+
+
+def test_rational_grammar():
+    for text, value in ((" 3/2\n", F(3, 2)), ("+3", F(3)), ("-1/2", F(-1, 2)), ("04/06", F(2, 3))):
+        assert parse_rational(text) == value
+    for text in ("", "/2", "1/", "1.5", "1e3", "0x1", "--1", "1/+2"):
+        with pytest.raises(ConstructionError, match="^not a rational number: "):
+            parse_rational(text)
+
+
+@pytest.mark.parametrize("text", GRAMMAR_SLIPS.values(), ids=GRAMMAR_SLIPS.keys())
+def test_rates_take_only_ascii_digits(text):
+    with pytest.raises(ConstructionError, match="^not a rational number: "):
+        parse_rational(text)
+    with pytest.raises(SpecFileError) as err:
+        loads_spec(json.dumps({"family": "ring", "lambda": ["1", text], "mu": ["1", "1"]}))
+    assert str(err.value) == f"lambda[1]: not a rational number: {text!r}"
 
 
 def test_loads_each_family():
@@ -557,6 +599,11 @@ def test_loads_each_family():
     assert custom.family == "custom" and custom.action(0).total_rate == 2
 
 
+def _was(doc, needle, old_needle):
+    """A case whose needle changed when values moved to the builders, under its earlier id."""
+    return pytest.param(doc, needle, id=f"{doc}-{old_needle}")
+
+
 @pytest.mark.parametrize(
     "doc,needle",
     [
@@ -565,21 +612,31 @@ def test_loads_each_family():
         ('{"family": "pushpull", "lambda": ["1","1"], "mu": ["1","1"], "x": 1}', "'x'"),
         ('{"family": "pushpull", "lambda": ["1","1"]}', "'mu'"),
         ('{"family": "pushpull", "lambda": ["1"], "mu": ["1","1"]}', "lambda"),
-        ('{"family": "ring", "lambda": ["1"], "mu": ["1"]}', "length"),
+        # from here on, most messages come from the network builders as SpecFileErrors
+        _was('{"family": "ring", "lambda": ["1"], "mu": ["1"]}', "a ring needs at least 2 servers",
+             "length"),
         ('{"family": "pushpull", "lambda": [1.5, 1], "mu": ["1","1"]}', "lambda"),
         ('{"family": "reentrant", "streams": [[{"server": 1, "rate": "1", "y": 2}, {"server": 2, "rate": "1"}]]}', "'y'"),
-        ('{"family": "reentrant", "streams": [[{"server": true, "rate": "1"}, {"server": 2, "rate": "1"}]]}', "streams[0][0].server must be 1 or 2"),
-        ('{"family": "reentrant", "streams": [[{"server": 1.0, "rate": "1"}, {"server": 2, "rate": "1"}]]}', "streams[0][0].server must be 1 or 2"),
-        ('{"family": "custom", "M": 0, "actions": []}', "'M'"),
+        _was('{"family": "reentrant", "streams": [[{"server": true, "rate": "1"}, {"server": 2, "rate": "1"}]]}', "streams[0][0].server must be an integer, got True",
+             "streams[0][0].server must be 1 or 2"),
+        _was('{"family": "reentrant", "streams": [[{"server": 1.0, "rate": "1"}, {"server": 2, "rate": "1"}]]}', "streams[0][0].server must be an integer, got 1.0",
+             "streams[0][0].server must be 1 or 2"),
+        _was('{"family": "custom", "M": 0, "actions": []}', "M must be a positive integer, got 0",
+             "'M'"),
         ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": [{"disp": [1], "rate": "-1"}]}]}', "positive"),
         ('{"family": "reentrant", "streams": [[1, {"server": 2, "rate": "1"}]]}', "streams[0][0] must be an object"),
-        ('{"family": "reentrant", "streams": []}', "'streams' must be a nonempty list"),
-        ('{"family": "reentrant", "streams": [1]}', "streams[0] must be a list of operations"),
-        ('{"family": "custom", "M": 1, "actions": []}', "'actions' must be a nonempty list"),
-        ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": []}]}', "actions[0].outcomes must be a nonempty list"),
-        ('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": [{"disp": [1.5], "rate": "1"}]}]}', "actions[0].outcomes[0].disp must be a list of integers"),
-        # a ConstructionError from the network builders, reported as a SpecFileError
-        ('{"family": "reentrant", "streams": [[{"server": 1, "rate": "1"}]]}', "stream 1 needs at least two steps"),
+        _was('{"family": "reentrant", "streams": []}', "at least one stream is required",
+             "'streams' must be a nonempty list"),
+        _was('{"family": "reentrant", "streams": [1]}', "streams[0] must be a list",
+             "streams[0] must be a list of operations"),
+        _was('{"family": "custom", "M": 1, "actions": []}', "a network needs at least one action",
+             "'actions' must be a nonempty list"),
+        _was('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": []}]}', "actions[0] has no outcomes",
+             "actions[0].outcomes must be a nonempty list"),
+        _was('{"family": "custom", "M": 1, "actions": [{"label": "x", "outcomes": [{"disp": [1.5], "rate": "1"}]}]}', "actions[0].outcomes[0]: a displacement entry must be an integer, got 1.5",
+             "actions[0].outcomes[0].disp must be a list of integers"),
+        _was('{"family": "reentrant", "streams": [[{"server": 1, "rate": "1"}]]}', "streams[0] needs at least two steps",
+             "stream 1 needs at least two steps"),
         ('{"family": "custom", "M": 2, "actions": [{"label": "x", "outcomes": [{"disp": [1], "rate": "1"}]}]}', "has length 1, expected 2"),
     ],
 )
@@ -621,7 +678,7 @@ def test_spec_repeated_field_is_an_error(doc, key):
 def test_spec_label_error_names_its_location():
     doc = ('{"family": "custom", "M": 1, "actions": [{"label": "a", "outcomes": '
            '[{"disp": [1], "rate": "1"}]}, {"label": 3, "outcomes": [{"disp": [1], "rate": "1"}]}]}')
-    with pytest.raises(SpecFileError, match=r"^actions\[1\]\.label must be a string$"):
+    with pytest.raises(SpecFileError, match=r"^actions\[1\]\.label must be a string, got 3$"):
         loads_spec(doc)
 
 
@@ -646,3 +703,131 @@ def test_actions_are_listed_up_to_the_limit(monkeypatch):
                     lambda: available_actions(big, (1,) * 4)):
         with pytest.raises(ConstructionError, match="16 actions, more than the 8"):
             listing()
+
+
+# ---------------------------------------------------------------------------
+# the shape-only reader against the reader that checked every value itself
+
+TEMPLATES = {
+    "pushpull": {"family": "pushpull", "lambda": ["1", "2"], "mu": [3, "4"]},
+    "ring": {"family": "ring", "lambda": ["1", "2", "3/2"], "mu": [1, "2", "5"]},
+    "reentrant": {"family": "reentrant", "streams": [
+        [{"server": 1, "rate": "1"}, {"server": 2, "rate": "2"}, {"server": 1, "rate": 3}],
+        [{"server": 2, "rate": "1/2"}, {"server": 1, "rate": "1"}],
+    ]},
+    "custom": {"family": "custom", "M": 2, "actions": [
+        {"label": "a", "outcomes": [{"disp": [1, 0], "rate": "1"}, {"disp": [-1, 1], "rate": "1/2"}]},
+        {"label": "b", "outcomes": [{"disp": [0, -1], "rate": 2}]},
+    ]},
+}
+
+
+def _paths(node, path=()):
+    """Every field of a JSON document, as the key path that reaches it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+TEMPLATE_FIELDS = [(family, path) for family, doc in TEMPLATES.items() for path in _paths(doc) if path]
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(2**63 - 2, 2**64 + 2)
+    | st.integers(-2**70, 2**70) | st.floats()
+    | st.sampled_from(["1", "3/2", "0", "-1", "0/3", "1/0", " 2 ", "+5", "-1/2", "1.5", "1e3", "x",
+                       *GRAMMAR_SLIPS.values()])
+    | st.text(max_size=4)
+)
+# A scalar half the time, so that a fair share of the documents are valid.
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["server", "rate", "disp", "label", "outcomes", "x"]) | st.text(max_size=3),
+        inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except SpecFileError:
+        return None
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(TEMPLATE_FIELDS), json_values)
+def test_reader_accepts_exactly_what_the_value_checking_reader_accepts(field, value):
+    # any exception but a SpecFileError escapes _outcome and fails the test
+    family, path = field
+    doc = copy.deepcopy(TEMPLATES[family])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    text = json.dumps(doc)
+    assert _outcome(loads_spec, text) == _outcome(reference_loads_spec, text)
+
+
+def test_every_template_loads():
+    for doc in TEMPLATES.values():
+        text = json.dumps(doc)
+        assert loads_spec(text) == reference_loads_spec(text)
+
+
+def _document(family, *args):
+    """The spec document that holds a builder's arguments."""
+    if family == "pushpull":
+        return {"family": family, "lambda": list(args[:2]), "mu": list(args[2:])}
+    if family == "ring":
+        return {"family": family, "lambda": args[0], "mu": args[1]}
+    if family == "reentrant":
+        return {"family": family,
+                "streams": [[{"server": s, "rate": r} for s, r in stream] for stream in args[0]]}
+    return {"family": family, "M": args[0], "actions": [
+        {"label": label, "outcomes": [{"disp": d, "rate": r} for d, r in outcomes]}
+        for label, outcomes in args[1]]}
+
+
+BUILDERS = {"pushpull": build_push_pull, "ring": build_ring,
+            "reentrant": build_reentrant, "custom": build_custom}
+
+
+@pytest.mark.parametrize("family,args,message", [
+    ("pushpull", (1, "1_2", 1, 1), "lambda[1]: not a rational number: '1_2'"),
+    ("pushpull", (1, 1, 1.5, 1), "mu[0]: rate must be an int, 'num/den' string, or Fraction, got float"),
+    ("pushpull", (1, 1, 1, True), "mu[1]: rate must be a positive rational, got True"),
+    ("ring", (["1", "-1"], [1, 1]), "lambda[1]: rates must be positive, got -1"),
+    ("ring", ([1, 1], [1, "1/0"]), "mu[1]: not a rational number: '1/0'"),
+    ("ring", ([1, 1, 1], [1, None, 1]),
+     "mu[1]: rate must be an int, 'num/den' string, or Fraction, got NoneType"),
+    ("ring", ([1, 1], [1, 1, 1]), "lambda and mu differ in length (2 vs 3)"),
+    ("ring", ([1], [1]), "a ring needs at least 2 servers"),
+    ("reentrant", ([],), "at least one stream is required"),
+    ("reentrant", ([[(1, 1), (2, 1)], [(2, 1)]],), "streams[1] needs at least two steps"),
+    ("reentrant", ([[(1, 1), (3, 1)]],), "streams[0][1].server must be 1 or 2, got 3"),
+    ("reentrant", ([[(True, 1), (2, 1)]],), "streams[0][0].server must be an integer, got True"),
+    ("reentrant", ([[(1, 1), (2.0, 1)]],), "streams[0][1].server must be an integer, got 2.0"),
+    ("reentrant", ([[(1, 1), (2, "\u0661")]],), "streams[0][1].rate: not a rational number: '\u0661'"),
+    ("reentrant", ([[(1, 1), (2, 0)]],), "streams[0][1].rate: rates must be positive, got 0"),
+    ("reentrant", ([[(2, 1), (2, 1)]],), "server 1 has no operations"),
+    ("custom", (1.5, [("a", [([1], 1)])]), "M must be an integer, got 1.5"),
+    ("custom", (0, [("a", [([1], 1)])]), "M must be a positive integer, got 0"),
+    ("custom", (1, []), "a network needs at least one action"),
+    ("custom", (1, [("a", [([1], 1)]), (3, [([1], 1)])]), "actions[1].label must be a string, got 3"),
+    ("custom", (1, [("a", [])]), "actions[0] has no outcomes"),
+    ("custom", (2, [("a", [([1, 0], 1), ([1], 1)])]),
+     "actions[0].outcomes[1]: displacement (1,) has length 1, expected 2"),
+    ("custom", (2, [("a", [([1, 1], 1)])]), "actions[0].outcomes[0]: displacement (1, 1) must add "
+     "one job, remove one job, or move one job between queues"),
+    ("custom", (2, [("a", [([1, 0.5], 1)])]),
+     "actions[0].outcomes[0]: a displacement entry must be an integer, got 0.5"),
+    ("custom", (1, [("a", [([1], "1/-2")])]), "actions[0].outcomes[0]: not a rational number: '1/-2'"),
+])
+def test_builder_and_spec_file_give_the_same_message(family, args, message):
+    with pytest.raises(ConstructionError) as built:
+        BUILDERS[family](*args)
+    with pytest.raises(SpecFileError) as loaded:
+        loads_spec(json.dumps(_document(family, *args)))
+    assert str(built.value) == str(loaded.value) == message

@@ -49,7 +49,7 @@ from qstab.simulate import (
     substream_seed,
     trial_rng,
 )
-from test_certify import nets_with_repeated_outcomes
+from test_certify import BAD_WEIGHTS, nets_with_repeated_outcomes
 
 F = Fraction
 
@@ -1194,6 +1194,24 @@ def test_alpha_length_validated():
     pol = make_policy(net, "pull-priority")
     with pytest.raises(ConstructionError):
         martingale_test(net, pol, (1, -1, 1), SimConfig(trials=2, steps=2))
+
+
+@pytest.mark.parametrize("alpha,message", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS.keys())
+def test_martingale_alpha_weight_errors_name_the_weight(alpha, message):
+    net = critical_pp()
+    pol = make_policy(net, "pull-priority")
+    with pytest.raises(ConstructionError) as err:
+        martingale_test(net, pol, alpha, SimConfig(trials=2, steps=2))
+    assert str(err.value) == message
+
+
+def test_martingale_alpha_takes_numpy_integers_and_rational_strings():
+    net = critical_pp()
+    pol = make_policy(net, "pull-priority")
+    cfg = SimConfig(seed=3, trials=20, steps=20)
+    first, *others = [martingale_test(net, pol, alpha, cfg)
+                      for alpha in ((1, -1), (np.int64(1), np.int8(-1)), ("1", "-1/1"), (F(1), -1))]
+    assert all(report == first for report in others)
 
 
 def test_zero_alpha_is_refused():
