@@ -16,7 +16,6 @@ catching it needs no simulator.
 from .certify import (
     DriftMatrix,
     HarmonicCertificate,
-    SignMatrix,
     UnsupportedFamilyError,
     Verdict,
     certify_nonstabilizable,
@@ -34,7 +33,6 @@ from .certify import (
     verify_unit_pairing,
 )
 from .netmodel import (
-    ActionSpec,
     ConstructionError,
     IndexSets,
     NetworkSpec,
@@ -59,7 +57,6 @@ from .netmodel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionSpec",
     "ConstructionError",
     "DriftMatrix",
     "GrowthReport",
@@ -70,7 +67,6 @@ __all__ = [
     "Policy",
     "PolicyError",
     "ReturnTimeStats",
-    "SignMatrix",
     "SimConfig",
     "SpecFileError",
     "TrajectorySummary",

@@ -86,17 +86,6 @@ class DriftMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SignMatrix:
-    """Element-wise signs of a drift matrix."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_queues(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
 class Verdict(Enum):
     NON_STABILIZABLE = "non-stabilizable"
     INCONCLUSIVE = "inconclusive"
@@ -208,35 +197,26 @@ def null_space_basis(d: DriftMatrix) -> list[tuple[int, ...]]:
     return exactla.null_space(_distinct_rows(d.numerators), d.n_queues)
 
 
-def sign_matrix(d: DriftMatrix) -> SignMatrix:
-    return SignMatrix(
-        tuple(tuple(0 if x == 0 else (1 if x > 0 else -1) for x in row) for row in d.numerators)
-    )
+def sign_matrix(d: DriftMatrix) -> tuple[tuple[int, ...], ...]:
+    """The element-wise signs of the drift matrix, one row per action."""
+    return tuple(tuple(0 if x == 0 else (1 if x > 0 else -1) for x in row) for row in d.numerators)
 
 
-def _row_sign_pattern_ok(row: Sequence[int], n: int) -> bool:
+def _row_sign_pattern_ok(row: Sequence[int]) -> bool:
     nonzero = [i for i, x in enumerate(row) if x]
-    if not nonzero:
-        return True
-    m = len(nonzero)
-    for k in range(m):
-        a = nonzero[k]
-        b = nonzero[(k + 1) % m]
-        gap = (b - a - 1) % n
-        same_sign = row[a] == row[b]
-        if same_sign != (gap % 2 == 0):
-            return False
-    return True
+    cyclic = zip(nonzero, nonzero[1:] + nonzero[:1])  # each nonzero and the next, cyclically
+    return all((row[a] == row[b]) == ((b - a - 1) % len(row) % 2 == 0) for a, b in cyclic)
 
 
-def verify_sign_pattern(dhat: SignMatrix) -> bool:
+def verify_sign_pattern(rows: Iterable[Sequence[int]]) -> bool:
     """Cyclic parity check on every sign row.
 
     Between consecutive nonzero entries (queues are treated cyclically, as
-    in a ring), the number of interleaved zeros must be even when the two
-    signs agree and odd when they differ. All-zero rows pass vacuously.
+    in a ring of the row's length), the number of interleaved zeros must be
+    even when the two signs agree and odd when they differ. All-zero rows
+    pass vacuously.
     """
-    return all(_row_sign_pattern_ok(row, dhat.n_queues) for row in dhat.rows)
+    return all(map(_row_sign_pattern_ok, rows))
 
 
 def check_nondegeneracy_direct(net: NetworkSpec, alpha: Sequence[Fraction | int]) -> bool:

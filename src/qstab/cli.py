@@ -43,19 +43,28 @@ class _Parser(argparse.ArgumentParser):
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # parse_rational's grammar without "/"
 
 
+_COUNTS = {"seed": "0", "trials": "10000", "steps": "1000", "cap": "10000"}  # option defaults
+
+
+def _integer(text: str, what: str) -> int:
+    """``text`` as an int: ASCII digits after an optional sign, whitespace only around the
+    whole (``int()`` also reads "1_0", "١٠" and "１０"). An error names ``what``."""
+    try:
+        return int(_INTEGER.fullmatch(text)[0])
+    except (TypeError, ValueError):  # no match, or too many digits
+        raise ConstructionError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_x0(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(_INTEGER.fullmatch(part)[0]) for part in text.split(","))
-    except (TypeError, ValueError):  # no match, or too many digits
+        return tuple(_integer(part, "--x0") for part in text.split(","))
+    except ConstructionError:
         raise ConstructionError(f"--x0 must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_policy(simulate, net, text: str):
     if text.startswith("threshold:"):
-        try:
-            cutoff = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConstructionError(f"bad threshold policy {text!r}, expected threshold:<int>") from exc
+        cutoff = _integer(text.split(":", 1)[1], "--policy threshold:<c>")
         return simulate.make_policy(net, "threshold", threshold=cutoff)
     if text in ("pull-priority", "push-priority"):
         return simulate.make_policy(net, text)
@@ -82,10 +91,8 @@ def build_parser() -> _Parser:
         add_common(p)
         p.add_argument("--policy", default="pull-priority",
                        help="pull-priority | push-priority | threshold:<c>")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=10_000)
-        p.add_argument("--steps", type=int, default=1_000)
-        p.add_argument("--cap", type=int, default=10_000)
+        for name, default in _COUNTS.items():  # strings, each read by _integer
+            p.add_argument(f"--{name}", default=default)
         p.add_argument("--x0", default=None, help="comma-separated start state (default origin)")
 
     add_common(sub.add_parser("certify", help="decide whether a harmonic certificate exists"))
@@ -139,7 +146,8 @@ def _sim_config(simulate, ns, net):
         raise ConstructionError(
             f"--x0 has length {len(x0)}, the network has {net.n_queues} queues"
         )
-    return simulate.SimConfig(seed=ns.seed, steps=ns.steps, trials=ns.trials, cap=ns.cap, x0=x0)
+    counts = {name: _integer(getattr(ns, name), f"--{name}") for name in _COUNTS}
+    return simulate.SimConfig(**counts, x0=x0)
 
 
 def _dispatch(ns) -> int:

@@ -120,42 +120,14 @@ def check_displacement(disp: Sequence[int], n_queues: int) -> Displacement:
 
 
 @dataclass(frozen=True)
-class ActionSpec:
-    """One action: a rate-weighted distribution over displacements.
-
-    Built from its id by :meth:`NetworkSpec.action`, never stored. Outcomes
-    are merged (distinct displacements) and sorted lexicographically by
-    displacement, the normative order for cumulative-sum sampling in the
-    simulator. ``total_rate`` and ``drains`` (the queues some outcome
-    decrements, which must be nonempty for the action to be available) are
-    derived from the outcomes on first use.
-    """
-
-    id: int
-    label: str
-    outcomes: tuple[tuple[Displacement, Fraction], ...]
-
-    @cached_property
-    def total_rate(self) -> Fraction:
-        return sum(r for _, r in self.outcomes)
-
-    @cached_property
-    def drains(self) -> frozenset[int]:
-        return frozenset(d.index(-1) for d, _ in self.outcomes if -1 in d)
-
-    @property
-    def support(self) -> tuple[Displacement, ...]:
-        return tuple(d for d, _ in self.outcomes)
-
-
-@dataclass(frozen=True)
 class Choice:
-    """One entry of a server's menu: a label and its outcomes, each a unit
-    displacement with a positive rate.
-
-    Nothing here checks the outcomes: :func:`build_custom` checks outside
-    input, and the family builders construct only valid ones. ``drains``
-    holds the queues some outcome decrements.
+    """A label and its outcomes, each a unit displacement with a positive rate:
+    one entry of a server's menu, or a whole action as :meth:`NetworkSpec.action`
+    builds it from its id, outcomes merged and sorted by displacement (the
+    simulator's sampling order). Nothing here checks the outcomes:
+    :func:`build_custom` checks outside input, and the family builders
+    construct only valid ones. ``drains`` holds the queues some outcome
+    decrements, which must be nonempty for the choice to be available.
     """
 
     label: str
@@ -166,7 +138,7 @@ class Choice:
         return frozenset(d.index(-1) for d, _ in self.outcomes if -1 in d)
 
 
-def _combine(action_id: int, choices: Sequence[Choice]) -> ActionSpec:
+def _combine(choices: Sequence[Choice]) -> Choice:
     """The action taking one choice per server, merging duplicate displacements by summing rates."""
     label = choices[0].label if len(choices) == 1 else (
         "(" + ",".join(c.label for c in choices) + ")"
@@ -175,7 +147,7 @@ def _combine(action_id: int, choices: Sequence[Choice]) -> ActionSpec:
     for choice in choices:
         for d, r in choice.outcomes:
             merged[d] = merged[d] + r if d in merged else r
-    return ActionSpec(action_id, label, tuple(sorted(merged.items())))
+    return Choice(label, tuple(sorted(merged.items())))
 
 
 def integer_weights(rates: Iterable[Fraction]) -> list[int]:
@@ -302,9 +274,9 @@ class NetworkSpec:
             choices.append(menu[k])
         return tuple(choices[::-1])
 
-    def action(self, action_id: int) -> ActionSpec:
+    def action(self, action_id: int) -> Choice:
         """One action, built from the choices its id names without listing the others."""
-        return _combine(action_id, self.choices(action_id))
+        return _combine(self.choices(action_id))
 
 
 @dataclass(frozen=True)
@@ -516,8 +488,12 @@ def check_state(z: Sequence[int], n_queues: int | None = None) -> State:
 def check_alpha(alpha: Sequence[Fraction | int | str], n_queues: int) -> tuple[Fraction, ...]:
     """``alpha`` as exact rationals, not all zero: per queue an int (Python or numpy, not a
     bool), a Fraction or a :func:`parse_rational` string, named ``alpha[k]`` in errors."""
+    try:
+        weights = tuple(alpha)
+    except TypeError:
+        raise ConstructionError(f"alpha must be a sequence of weights, got {alpha!r}") from None
     vec = _each(lambda x: x if isinstance(x, Fraction) else parse_rational(x) if isinstance(x, str)
-                else Fraction(check_int(x, "a weight")), alpha, "alpha[{}]")
+                else Fraction(check_int(x, "a weight")), weights, "alpha[{}]")
     if len(vec) != n_queues:
         raise ConstructionError(f"alpha has length {len(vec)}, expected {n_queues}")
     if not any(vec):
@@ -545,8 +521,9 @@ def transition_distribution(
     net: NetworkSpec, action_id: int
 ) -> list[tuple[Displacement, Fraction]]:
     """The action's displacement distribution, probabilities exact and summing to 1."""
-    act = net.action(action_id)
-    return [(d, rate / act.total_rate) for d, rate in act.outcomes]
+    outcomes = net.action(action_id).outcomes
+    total = sum(rate for _, rate in outcomes)
+    return [(d, rate / total) for d, rate in outcomes]
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,14 @@ Reproducibility contract
   fill one padded row of a chunk, and a step gathers the live trials' u
   by their flat offsets in it;
 * each action's outcome is selected by cumulative-sum inversion over its
-  outcomes in lexicographic displacement order (the storage order of
-  :class:`~qstab.netmodel.ActionSpec`), with probabilities converted from
-  exact rationals to their nearest floats once per run: the outcome is the
-  number of cumulative sums <= u, clamped to the last outcome, so a u at
-  or above a float cumsum that rounds below 1 picks the last outcome. The
-  engine finds that count through a guide table (:class:`_Tables`), which
-  leaves the map from u to the outcome unchanged.
+  outcomes in lexicographic displacement order (the order of the outcomes
+  of ``net.action(a)``, a :class:`~qstab.netmodel.Choice`), with
+  probabilities converted from exact rationals to their nearest floats
+  once per run: the outcome is the number of cumulative sums <= u, clamped
+  to the last outcome, so a u at or above a float cumsum that rounds below
+  1 picks the last outcome. The engine finds that count through a guide
+  table (:class:`_Tables`), which leaves the map from u to the outcome
+  unchanged.
 
 Identical (network, policy, config) therefore yield bit-identical reports.
 """
@@ -53,7 +54,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .netmodel import (
-    ActionSpec,
     ConstructionError,
     NetworkSpec,
     PolicyError,
@@ -530,9 +530,9 @@ def make_policy(
 # Sampling engine
 
 class _Tables:
-    """Sampling tables of ``actions`` (default: all of ``net``'s), indexed by flat outcome id.
+    """Sampling tables of the actions ``ids`` (default: every id), indexed by flat outcome id.
 
-    Row r of the tables is the r-th action and ``width`` is the largest
+    Row r of the tables is action ``ids[r]`` and ``width`` is the largest
     outcome count; outcome k of row r has the flat id f = r * width + k.
     ``cum[f]`` is row r's cumulative probability through outcome k, and
     +inf from the row's last outcome on, so the number of a row's entries
@@ -549,7 +549,7 @@ class _Tables:
     Each probability is w_k / W in Python ints, where
     ``netmodel.integer_weights`` gives the outcome rates as integers w_k
     and W is their sum. Integer division is correctly rounded, so this is
-    the float nearest rate / total_rate. The cumulative sums are taken
+    the float nearest the exact probability. The cumulative sums are taken
     left to right along each row.
 
     ``sample`` counts the sums <= u through a guide table (Chen & Asau,
@@ -568,8 +568,9 @@ class _Tables:
     repay the search for G.
     """
 
-    def __init__(self, net: NetworkSpec, actions: Sequence[ActionSpec] | None = None):
-        self.actions = actions or list(map(net.action, range(net.listable_actions())))
+    def __init__(self, net: NetworkSpec, ids: Sequence[int] | None = None):
+        self.ids = range(net.listable_actions()) if ids is None else ids
+        self.actions = list(map(net.action, self.ids))
         index = {d: i for i, d in enumerate(net.displacements)}
         probs, ranks = [], []
         for act in self.actions:
@@ -603,11 +604,10 @@ class _Tables:
         blocked = self.drain.take(acts, axis=0) & (states < 1)
         if np.logical_or.reduce(blocked, axis=None):
             rows = np.nonzero(blocked.any(axis=1))[0]
-            a = acts[rows].min()
-            act = self.actions[a]
-            state = _state(states[rows[acts[rows] == a][0]])
+            r = acts[rows].min()
+            state = _state(states[rows[acts[rows] == r][0]])
             raise PolicyError(
-                f"action {act.label!r} (id {act.id}) is not available at state {state}"
+                f"action {self.actions[r].label!r} (id {self.ids[r]}) is not available at state {state}"
             )
         if self.start is None:
             flat = acts * self.width
@@ -693,7 +693,7 @@ def step(
     _check_headroom(state, 1)
     states = np.array([state], dtype=np.int64)
     a = _choose(policy, states, net.n_actions)[0]
-    table = _Tables(net, [net.action(a)])
+    table = _Tables(net, [a])
     f = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
     return _state(states[0] + table.disp[f])
 

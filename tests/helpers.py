@@ -39,7 +39,7 @@ def list_actions(net):
 
 def label_ids(net) -> dict[str, int]:
     """Each action's id by its label."""
-    return {a.label: a.id for a in list_actions(net)}
+    return {a.label: i for i, a in enumerate(list_actions(net))}
 
 
 def dot(u, v) -> Fraction:

@@ -182,9 +182,9 @@ def test_criterion_3_sign_pattern_parity(emit_line):
     for m in range(2, 9):
         for rates in ([F(1)] * m, [_random_rate(rnd) for _ in range(m)]):
             dhat = sign_matrix(drift_matrix(build_ring(rates, rates)))
-            assert len(dhat.rows) == 2**m
+            assert len(dhat) == 2**m
             assert verify_sign_pattern(dhat)
-            for row in dhat.rows:
+            for row in dhat:
                 assert sum(1 for x in row if x == 0) % 2 == 0
     elapsed = time.perf_counter() - start
     _report(emit_line, 3, elapsed < 5.0, f"all sign rows pass parity checks in {elapsed:.2f}s")

@@ -184,6 +184,35 @@ def test_numbers_take_a_leading_sign_and_surrounding_spaces(spec_dir, capsys):
     assert run(["simulate", spec_dir["pp-critical.json"], *sim, "--x0", " +1 , 2"]) == EXIT_OK
 
 
+INTEGER_SLIPS = {"underscore": "1_0", "arabic-indic": "\u0665", "fullwidth": "\uff11\uff10"}
+
+
+@pytest.mark.parametrize("text", INTEGER_SLIPS.values(), ids=INTEGER_SLIPS.keys())
+@pytest.mark.parametrize("option", ["--seed", "--trials", "--steps", "--cap", "--policy", "--x0"])
+def test_integer_options_take_only_ascii_digits(spec_dir, capsys, option, text):
+    value, what = {"--policy": (f"threshold:{text}", "--policy threshold:<c>"),
+                   "--x0": (f"{text},0", None)}.get(option, (text, option))
+    sim = ["--trials", "5", "--steps", "5"]
+    assert run(["simulate", spec_dir["pp-critical.json"], *sim, option, value]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {what} must be an integer, got {text!r}\n" if what else
+                            f"error: --x0 must be comma-separated integers, got {value!r}\n")
+
+
+@pytest.mark.parametrize("text", [" 7 ", "+7"])
+def test_integer_options_take_a_sign_and_surrounding_spaces(spec_dir, capsys, text):
+    def argv(n):
+        return ["simulate", spec_dir["pp-critical.json"], "--format", "json", "--seed", n,
+                "--trials", n, "--steps", n, "--cap", n, "--policy", f"threshold:{n}",
+                "--x0", f"{n},{n}"]
+
+    assert run(argv("7")) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert run(argv(text)) == EXIT_OK
+    assert capsys.readouterr().out == plain and json.loads(plain)["trials"] == 7
+
+
 def test_custom_export_round_trips(spec_dir, capsys, tmp_path):
     first = tmp_path / "exported.json"
     first.write_text(dump_spec(build_push_pull(1, 2, 1, 2)))

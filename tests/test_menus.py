@@ -152,13 +152,13 @@ def certify_report(net, fmt: str) -> str:
 
 
 def loop_direct(net, *vectors) -> bool:
-    return all(any(sum(a * x for a, x in zip(v, d)) for d in act.support for v in vectors)
+    return all(any(sum(a * x for a, x in zip(v, d)) for d, _ in act.outcomes for v in vectors)
                for act in list_actions(net))
 
 
 def loop_lemma(net, alpha) -> bool:
     for act in list_actions(net):
-        for d in act.support:
+        for d, _ in act.outcomes:
             ups = [k for k, x in enumerate(d) if x > 0]
             downs = [k for k, x in enumerate(d) if x < 0]
             if ups and downs:
@@ -174,7 +174,7 @@ def loop_lemma(net, alpha) -> bool:
 def test_lazy_actions_match_the_flat_enumeration(net):
     listed = list_actions(net)
     assert net.n_actions == len(listed)
-    assert [(a.id, a.label, a.outcomes) for a in listed] == reference_actions(net)
+    assert [(a, act.label, act.outcomes) for a, act in enumerate(listed)] == reference_actions(net)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -237,7 +237,7 @@ def test_one_action_is_the_row_of_the_action_list():
     nets = [build_push_pull(1, 2, 3, 4), build_two_stream_example()]
     nets += [build_ring(range(1, m + 1), range(m + 1, 1, -1)) for m in range(2, 8)]
     for net in nets:
-        listed = [(a.id, a.label, a.outcomes) for a in map(net.action, range(net.n_actions))]
+        listed = [(a, net.action(a).label, net.action(a).outcomes) for a in range(net.n_actions)]
         assert listed == reference_actions(net)
 
 
@@ -301,7 +301,7 @@ def test_displacement_index_matches_the_actions(net, data):
     if net.family == "pushpull":  # the id map, not the mixed-radix order
         assert [a.label for a in reference] == [
             "(push,push)", "(pull,pull)", "(push,pull)", "(pull,push)"]
-    support = sorted({d for act in reference for d in act.support})
+    support = sorted({d for act in reference for d, _ in act.outcomes})
     assert list(net.displacements) == support
     assert all(pairs == tuple((k, x) for k, x in enumerate(d) if x)
                for d, pairs in net.displacements.items())
@@ -312,7 +312,7 @@ def test_displacement_index_matches_the_actions(net, data):
 
     for alpha in drawn_alphas(net, data):
         assert check_nondegeneracy_direct(net, alpha) == all(
-            any(dot(alpha, d) for d in act.support) for act in reference)
+            any(dot(alpha, d) for d, _ in act.outcomes) for act in reference)
 
     assert spec_document(net)["actions"] == [
         {"label": act.label,
@@ -320,7 +320,7 @@ def test_displacement_index_matches_the_actions(net, data):
         for act in reference]
     for z in itertools.product((0, 1), repeat=m):
         assert available_actions(net, z) == {
-            act.id for act in reference if all(z[k] for k in act.drains)}
+            a for a, act in enumerate(reference) if all(z[k] for k in act.drains)}
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="the simulator needs numpy")
@@ -336,5 +336,5 @@ def test_martingale_bound_is_the_largest_increment_over_the_actions(net, data):
     pol = make_policy(net, "custom", resolver=lambda z: 0)
     cfg = SimConfig(seed=0, trials=2, steps=1, x0=(1,) * net.n_queues)  # every action is available
     for alpha in drawn_alphas(net, data):
-        bound = max(abs(dot(alpha, d)) for act in reference for d in act.support)
+        bound = max(abs(dot(alpha, d)) for act in reference for d, _ in act.outcomes)
         assert martingale_test(net, pol, alpha, cfg).bound == float(bound)

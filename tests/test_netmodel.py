@@ -123,7 +123,7 @@ def test_ring_mixed_action_outcomes():
         (-1, 0, 0): F(1),
         (0, -1, 0): F(1),
     }
-    assert act.total_rate == F(3)
+    assert sum(rate for _, rate in act.outcomes) == F(3)
 
 
 def test_ring_validation():
@@ -354,7 +354,7 @@ def test_spec_field_messages(doc, message):
 
 def test_availability_on_push_pull_boundary():
     net = build_push_pull(1, 1, 1, 1)
-    labels = {a.id: a.label for a in list_actions(net)}
+    labels = [a.label for a in list_actions(net)]
     assert {labels[a] for a in available_actions(net, (0, 0))} == {"(push,push)"}
     assert {labels[a] for a in available_actions(net, (3, 0))} == {
         "(push,push)", "(push,pull)",
@@ -414,23 +414,26 @@ def test_action_ids_must_be_integers_in_range(bad):
 
 
 def test_an_action_stores_only_its_outcomes():
-    assert [f.name for f in dataclasses.fields(netmodel.ActionSpec)] == ["id", "label", "outcomes"]
+    assert [f.name for f in dataclasses.fields(netmodel.Choice)] == ["label", "outcomes"]
     act = build_push_pull(1, 2, 3, 4).action(2)  # (push, pull): +e1 at 1, -e1 at 3
-    assert act.total_rate == 4 and act.drains == frozenset({0})
+    assert type(act) is netmodel.Choice
+    assert sum(rate for _, rate in act.outcomes) == 4 and act.drains == frozenset({0})
 
 
 @settings(max_examples=60, deadline=None)
 @given(family_nets())
 def test_family_invariants(net):
     # Three-shape displacement rule and exact unit-mass distributions.
-    for act in list_actions(net):
-        for d in act.support:
+    for a, act in enumerate(list_actions(net)):
+        for d, _ in act.outcomes:
             nonzero = [x for x in d if x]
             assert 1 <= len(nonzero) <= 2
             assert all(x in (-1, 1) for x in nonzero)
             assert sum(nonzero) in (-1, 0, 1)
-        assert sum((p for _, p in transition_distribution(net, act.id)), F(0)) == 1
-        assert act.total_rate == sum((r for _, r in act.outcomes), F(0))
+        dist = transition_distribution(net, a)
+        assert sum((p for _, p in dist), F(0)) == 1
+        total = sum((r for _, r in act.outcomes), F(0))
+        assert dist == [(d, r / total) for d, r in act.outcomes]
     # Availability: never empty (every server can push in these families),
     # and the full action set is available away from the boundary.
     origin = (0,) * net.n_queues
@@ -596,7 +599,7 @@ def test_loads_each_family():
             }
         )
     )
-    assert custom.family == "custom" and custom.action(0).total_rate == 2
+    assert custom.family == "custom" and custom.action(0).outcomes == (((1,), F(2)),)
 
 
 def _was(doc, needle, old_needle):

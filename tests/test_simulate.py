@@ -196,7 +196,7 @@ def test_batch_seeding_is_checked_against_trial_rng(monkeypatch):
 def test_pull_priority_on_push_pull():
     net = critical_pp()
     pol = make_policy(net, "pull-priority")
-    labels = {a.id: a.label for a in list_actions(net)}
+    labels = [a.label for a in list_actions(net)]
     assert labels[pol.resolve((0, 0))] == "(push,push)"
     assert labels[pol.resolve((3, 0))] == "(push,pull)"
     assert labels[pol.resolve((0, 4))] == "(pull,push)"
@@ -213,14 +213,14 @@ def test_push_priority_always_pushes():
     for net in (critical_pp(), build_ring([1] * 3, [1] * 3)):
         pol = make_policy(net, "push-priority")
         for z in ((0,) * net.n_queues, (4,) * net.n_queues):
-            assert all(x == 1 for x in net.action(pol.resolve(z)).support[0] if x)
+            assert all(x == 1 for x in net.action(pol.resolve(z)).outcomes[0][0] if x)
             assert "pull" not in net.action(pol.resolve(z)).label
 
 
 def test_threshold_policy_semantics():
     net = critical_pp()
     pol = make_policy(net, "threshold", threshold=2)
-    labels = {a.id: a.label for a in list_actions(net)}
+    labels = [a.label for a in list_actions(net)]
     assert labels[pol.resolve((2, 2))] == "(push,push)"
     assert labels[pol.resolve((3, 0))] == "(push,pull)"
     assert labels[pol.resolve((0, 3))] == "(pull,push)"
@@ -289,6 +289,15 @@ def test_custom_table_policy():
     rng = trial_rng(0, 0)
     with pytest.raises(PolicyError, match=r"\(0, 1\)"):
         step(net, pol, (0, 1), rng)  # default (push,pull) drains queue 1 here
+
+
+def test_step_availability_error_names_the_action_id():
+    # step samples from a one-row table; the error names id 2, not row 0
+    net = critical_pp()
+    pol = make_policy(net, "custom", resolver=lambda z: 2)
+    with pytest.raises(PolicyError) as err:
+        step(net, pol, (0, 1), trial_rng(0, 0))
+    assert str(err.value) == "action '(push,pull)' (id 2) is not available at state (0, 1)"
 
 
 def _three_stream():
@@ -663,7 +672,7 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     cases += [(float(np.nextafter(cum[k], 0.0)), k) for k in range(9)]
     outcomes = net.action(0).outcomes
     # step's one-row table of "spread" takes no guide, so step samples by passes alone
-    assert _Tables(net, [net.action(0)]).start is None
+    assert _Tables(net, [0]).start is None
     for u, k in cases:
         assert step(net, pol, origin, FixedUniform(u)) == outcomes[k][0]
     tables = _Tables(net)  # the whole table takes a guide, so the batch samples through it
@@ -674,23 +683,29 @@ def test_outcome_clamp_at_float_cumsum_below_one():
     assert picked.tolist() == [k for _, k in cases]
 
 
+def _float_probabilities(act):
+    """An action's outcome probabilities, each the float of its exact rational."""
+    total = sum(rate for _, rate in act.outcomes)
+    return [float(rate / total) for _, rate in act.outcomes]
+
+
 def _reference_tables(net):
     """The sampling tables built one action at a time, probabilities as
     floats of the exact rationals and ranks as positions in the sorted
     list of the actions' distinct displacements."""
     actions = list_actions(net)
     rows, width = len(actions), max(len(act.outcomes) for act in actions)
-    distinct = sorted({d for act in actions for d in act.support})
+    distinct = sorted({d for act in actions for d, _ in act.outcomes})
     cum = np.full((rows, width), np.inf)
     rank = np.full((rows, width), len(distinct), dtype=np.int64)
     disp = np.zeros((rows, width, net.n_queues), dtype=np.int64)
     drain = np.zeros((rows, net.n_queues), dtype=bool)
     for r, act in enumerate(actions):
         k = len(act.outcomes)
-        probs = np.array([float(rate / act.total_rate) for _, rate in act.outcomes])
+        probs = np.array(_float_probabilities(act))
         cum[r, : k - 1] = np.cumsum(probs)[: k - 1]
-        rank[r, :k] = [distinct.index(d) for d in act.support]
-        disp[r, :k] = act.support
+        rank[r, :k] = [distinct.index(d) for d, _ in act.outcomes]
+        disp[r, :k] = [d for d, _ in act.outcomes]
         drain[r, sorted(act.drains)] = True
     return {"cum": cum, "rank": rank, "disp": disp, "drain": drain}
 
@@ -739,8 +754,7 @@ def _assert_flat_ids_match_reference(net, rows=None):
     fixed = [edges, np.nextafter(edges, 0.0), [np.nextafter(1.0, 0.0)], np.random.default_rng(5).random(20)]
     acts, us, want = [], [], []
     for r in range(len(actions)) if rows is None else rows:
-        outcomes = actions[r].outcomes
-        cum = np.cumsum([float(rate / actions[r].total_rate) for _, rate in outcomes])
+        cum = np.cumsum(_float_probabilities(actions[r]))
         u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), *fixed])
         u = np.unique(u[u < 1.0])
         cum[-1] = np.inf  # the clamp to the last outcome
@@ -895,7 +909,7 @@ def reference_resolver(net, kind, cutoff=0):
     and a supply step (step 0) is always available. Push-priority takes
     every server's push, or its first supply step.
     """
-    by_label = {a.label: a.id for a in list_actions(net)}
+    by_label = {a.label: i for i, a in enumerate(list_actions(net))}
     meta = net.meta
     if kind == "push-priority":
         if isinstance(meta, ReentrantMeta):
@@ -938,8 +952,7 @@ class Replay:
     def __init__(self, net, resolve):
         self.net, self.resolve = net, resolve
         self.cums = [
-            list(accumulate(float(rate / act.total_rate) for _, rate in act.outcomes))
-            for act in list_actions(net)
+            list(accumulate(_float_probabilities(act))) for act in list_actions(net)
         ]
 
     def trial(self, seed, t, x0, steps, stop_at_start=False):
@@ -1203,6 +1216,14 @@ def test_martingale_alpha_weight_errors_name_the_weight(alpha, message):
     with pytest.raises(ConstructionError) as err:
         martingale_test(net, pol, alpha, SimConfig(trials=2, steps=2))
     assert str(err.value) == message
+
+
+def test_martingale_alpha_must_be_iterable():
+    net = critical_pp()
+    pol = make_policy(net, "pull-priority")
+    with pytest.raises(ConstructionError) as err:
+        martingale_test(net, pol, None, SimConfig(trials=2, steps=2))
+    assert str(err.value) == "alpha must be a sequence of weights, got None"
 
 
 def test_martingale_alpha_takes_numpy_integers_and_rational_strings():
