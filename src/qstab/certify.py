@@ -161,16 +161,16 @@ def spanning_rows(net: NetworkSpec) -> list[tuple[int, ...]]:
     """Integer rows that span D's row space, read from the menus without listing actions.
 
     Let u_s(k) be the rate-weighted displacement of choice k of server s,
-    every outcome rate written as an integer over one common denominator.
-    The drift of action c is a positive multiple of u_c = sum_s u_s(c_s)
-    = u_c0 + sum_s (u_s(c_s) - u_s(0)), c0 taking every server's first
-    choice. So the rows u_s(k) - u_s(0), for each server s and choice
-    k >= 1, then u_c0, span D's rows, and each lies in D's row space. Only
-    u_c0 is dense; a ring's difference rows have two nonzeros. The rows
-    are returned as :func:`_distinct_rows`.
+    every outcome rate written as an integer over one common denominator
+    (``net.weights``). The drift of action c is a positive multiple of
+    u_c = sum_s u_s(c_s) = u_c0 + sum_s (u_s(c_s) - u_s(0)), c0 taking
+    every server's first choice. So the rows u_s(k) - u_s(0), for each
+    server s and choice k >= 1, then u_c0, span D's rows, and each lies in
+    D's row space. Only u_c0 is dense; a ring's difference rows have two
+    nonzeros. The rows are returned as :func:`_distinct_rows`.
     """
     nonzero = net.displacements
-    weights = iter(integer_weights(r for menu in net.menus for c in menu for _, r in c.outcomes))
+    weights = iter(net.weights)
     u = [[[0] * net.n_queues for _ in menu] for menu in net.menus]
     for menu, vectors in zip(net.menus, u):
         for choice, row in zip(menu, vectors):

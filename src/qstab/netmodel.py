@@ -205,9 +205,6 @@ class ReentrantMeta:
     def server_operations(self, server: int) -> list[tuple[int, int]]:
         return [(i, j) for i, j in self.operations() if self.streams[i][j][0] == server]
 
-    def op_rate(self, stream: int, step: int) -> Fraction:
-        return self.streams[stream][step][1]
-
     @property
     def entry_queues(self) -> frozenset[int]:
         """Queues fed by the supply step of each stream."""
@@ -262,6 +259,13 @@ class NetworkSpec:
         mapped to its nonzero ``(queue, entry)`` pairs; built on first use."""
         distinct = sorted({d for menu in self.menus for choice in menu for d, _ in choice.outcomes})
         return {d: tuple((k, x) for k, x in enumerate(d) if x) for d in distinct}
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Every outcome rate of the menus, server by server, choice by choice, as an
+        integer over the least common denominator of them all; built on first use.
+        An action's outcome probabilities are its outcomes' weights over their sum."""
+        return tuple(integer_weights(r for menu in self.menus for c in menu for _, r in c.outcomes))
 
     def choices(self, action_id: int) -> tuple[Choice, ...]:
         """The choice of each server that action ``action_id`` takes."""

@@ -33,11 +33,12 @@ Reproducibility contract
   outcomes in lexicographic displacement order (the order of the outcomes
   of ``net.action(a)``, a :class:`~qstab.netmodel.Choice`), with
   probabilities converted from exact rationals to their nearest floats
-  once per run: the outcome is the number of cumulative sums <= u, clamped
-  to the last outcome, so a u at or above a float cumsum that rounds below
-  1 picks the last outcome. The engine finds that count through a guide
-  table (:class:`_Tables`), which leaves the map from u to the outcome
-  unchanged.
+  once per network (:func:`_outcome_table`, which divides the integer
+  weights ``net.weights`` in Python ints): the outcome is the number of
+  cumulative sums <= u, clamped to the last outcome, so a u at or above a
+  float cumsum that rounds below 1 picks the last outcome. The engine
+  finds that count through a guide table (:class:`_Tables`), which leaves
+  the map from u to the outcome unchanged.
 
 Identical (network, policy, config) therefore yield bit-identical reports.
 """
@@ -49,6 +50,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,7 +65,6 @@ from .netmodel import (
     check_int,
     check_state,
     format_rational,
-    integer_weights,
 )
 
 _MASK32 = (1 << 32) - 1
@@ -529,6 +530,62 @@ def make_policy(
 # ---------------------------------------------------------------------------
 # Sampling engine
 
+def _outcome_table(net: NetworkSpec) -> tuple[np.ndarray, ...]:
+    """Every action's outcome count, cumulative sums and ranks, rows in id
+    order, and the displacement of each rank (zero at the padding rank).
+
+    Each menu choice is a row of outcome ranks (positions in
+    ``net.displacements``, ``len(net.displacements)`` on padding) and of
+    their ``net.weights``. Action row a gathers each server's row by the
+    mixed-radix digits of a (of its position in ``net.ids`` for push-pull),
+    stably sorts the outcomes by rank and merges equal ranks by a segmented
+    sum. Each probability is w / W in Python ints, W the row's total: int
+    division is correctly rounded at any size, so it is the float nearest
+    the exact probability, as for any multiple of the weights. The sums run
+    left to right along each row, in the form of :class:`_Tables`.
+    """
+    pad = len(net.displacements)
+    index = dict(zip(net.displacements, range(pad)))
+    choices = [c.outcomes for menu in net.menus for c in menu]
+    k = max(map(len, choices))  # each choice padded to k outcomes of weight 0
+    ranks = np.array([[index[d] for d, _ in c] + [pad] * (k - len(c)) for c in choices])
+    flat = iter(net.weights)
+    weights = np.array([[*islice(flat, len(c))] + [0] * (k - len(c)) for c in choices], dtype=object)
+    n, sizes = net.listable_actions(), [len(menu) for menu in net.menus]
+    digits = np.unravel_index(np.arange(n) if net.ids is None else np.array(net.ids).argsort(), sizes)
+    picked = (np.array(digits).T + list(accumulate(sizes[:-1], initial=0))).reshape(-1)
+    rank = ranks.take(picked, axis=0).reshape(n, -1)
+    order = rank.argsort(axis=1, kind="stable") + np.arange(0, rank.size, rank.shape[1])[:, None]
+    rank = rank.reshape(-1).take(order)
+    weight = weights.take(picked, axis=0).reshape(-1).take(order)
+    first = np.ones(rank.shape, dtype=bool)  # the first outcome of each merged rank
+    first[:, 1:] = rank[:, 1:] != rank[:, :-1]
+    starts = (first & (rank < pad)).reshape(-1).nonzero()[0]
+    row, col = starts // rank.shape[1], (first.cumsum(axis=1) - 1).reshape(-1).take(starts)
+    counts = np.bincount(row, minlength=n)
+    p = np.zeros((n, counts.max()))
+    p[row, col] = np.add.reduceat(weight.reshape(-1), starts) / weight.sum(axis=1).take(row)
+    p[np.arange(n), counts - 1] = np.inf  # so every sum from a row's last outcome on is +inf
+    merged = np.full(p.shape, pad, dtype=np.int64)
+    merged[row, col] = rank.reshape(-1).take(starts)
+    return counts, p.cumsum(axis=1), merged, np.array([*index, (0,) * net.n_queues], dtype=np.int64)
+
+
+_held: list = [(None, None)]  # one network and its outcome table, read and replaced as a pair
+
+
+def _outcomes(net: NetworkSpec) -> tuple[np.ndarray, ...]:
+    """:func:`_outcome_table` of ``net``, built once while ``net`` is the last
+    network asked for; its arrays are read-only, since every table shares them."""
+    held, table = _held[0]
+    if held is not net:
+        table = _outcome_table(net)
+        for array in table:
+            array.flags.writeable = False
+        _held[0] = net, table
+    return table
+
+
 class _Tables:
     """Sampling tables of the actions ``ids`` (default: every id), indexed by flat outcome id.
 
@@ -546,11 +603,11 @@ class _Tables:
     gathers it through ``rank`` the same way. Every per-step lookup is a
     ``take`` on a row or flat id.
 
-    Each probability is w_k / W in Python ints, where
-    ``netmodel.integer_weights`` gives the outcome rates as integers w_k
-    and W is their sum. Integer division is correctly rounded, so this is
-    the float nearest the exact probability. The cumulative sums are taken
-    left to right along each row.
+    ``cum`` and ``rank`` are the rows ``ids`` of the network's outcome
+    table (:func:`_outcomes`), cut to their own width, and ``disp`` is
+    gathered from its displacements: a one-row table, such as :func:`step`'s,
+    costs a few gathers. ``actions`` holds each row's ``net.action``, whose
+    label the availability error names.
 
     ``sample`` counts the sums <= u through a guide table (Chen & Asau,
     1974) of ``cells`` = G cells per row, G a power of two: cell j covers
@@ -564,34 +621,22 @@ class _Tables:
     most as many guide entries as ``disp`` has. A table on which the guide
     saves no pass (K + 1 >= width - 1), as on any table of width <= 2,
     takes G = 1, no ``start``, and width - 1 passes from r * width; so
-    does a one-row table, such as :func:`step`'s, whose one draw cannot
-    repay the search for G.
+    does a one-row table, whose one draw cannot repay the search for G.
     """
 
     def __init__(self, net: NetworkSpec, ids: Sequence[int] | None = None):
         self.ids = range(net.listable_actions()) if ids is None else ids
         self.actions = list(map(net.action, self.ids))
-        index = {d: i for i, d in enumerate(net.displacements)}
-        probs, ranks = [], []
-        for act in self.actions:
-            weights = integer_weights(rate for _, rate in act.outcomes)
-            total = sum(weights)
-            probs += [w / total for w in weights]
-            ranks += [index[d] for d, _ in act.outcomes]
-        counts = np.array([len(act.outcomes) for act in self.actions])
-        rows, width = len(counts), int(counts.max())
-        # (row, column) of every outcome in the flat lists
-        r = np.repeat(np.arange(rows), counts)
-        c = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
-        p = np.zeros((rows, width))
-        p[r, c] = probs
-        cum = np.cumsum(p, axis=1)
-        cum[np.arange(width) >= counts[:, None] - 1] = np.inf
+        counts, cum, rank, moves = _outcomes(net)
+        if ids is not None:
+            picked = np.asarray(ids, dtype=np.int64)
+            width = counts[picked].max()
+            cum, rank = cum[picked, :width], rank[picked, :width]
+        rows, width = cum.shape
         self.width = width
         self.cum = cum.reshape(-1)
-        self.rank = np.full(rows * width, len(index), dtype=np.int64)
-        self.rank[r * width + c] = ranks
-        self.disp = np.array([*index, (0,) * net.n_queues], dtype=np.int64).take(self.rank, axis=0)
+        self.rank = rank.reshape(-1)
+        self.disp = moves.take(self.rank, axis=0)
         self.drain = (self.disp.reshape(rows, width, -1) == -1).any(axis=1)
         self.cells, self.passes, self.start = _guide(cum, self.disp.size)
 
@@ -687,7 +732,8 @@ def step(
 
     A batch of one on the engine's code: the policy's action is checked and
     its availability enforced, then one uniform variate picks the outcome
-    from the action's one-row :class:`_Tables`, built like the engine's.
+    from the action's one-row :class:`_Tables`, cut like the engine's from
+    the outcome table that the last network sampled keeps.
     """
     state = check_state(z, net.n_queues)
     _check_headroom(state, 1)

@@ -124,7 +124,7 @@ def reference_actions(net) -> list[tuple[int, str, tuple]]:
     assert isinstance(meta, ReentrantMeta)
 
     def step(i, j):
-        n_i, rate = meta.stream_lengths[i], meta.op_rate(i, j)
+        n_i, rate = meta.stream_lengths[i], meta.streams[i][j][1]
         if j == 0:
             return unit(meta.queue_index(i, 1), 1), rate
         if j == n_i:

@@ -6,13 +6,14 @@ import copy
 import dataclasses
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import label_ids, list_actions, rate_st, reference_loads_spec, rings_and_lines
-from qstab import netmodel
+from qstab import certify, netmodel
 from qstab.netmodel import (
     Choice,
     ConstructionError,
@@ -207,6 +208,36 @@ def test_reentrant_layout_is_computed_once_per_network(monkeypatch):
     assert net.meta.offsets is net.meta.offsets
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(family_nets(), rings_and_lines()))
+@example(build_custom(2, [("a", [((1, 0), F(1, 2**61 - 1)), ((0, 1), 1), ((1, 0), F(2, 3))]),
+                          ("b", [((0, -1), F(5, 2**62 - 57))])]))
+def test_weights_are_the_menu_rates_over_one_denominator(net):
+    rates = [r for menu in net.menus for c in menu for _, r in c.outcomes]
+    scale = lcm(*(r.denominator for r in rates))
+    assert net.weights == tuple(int(r * scale) for r in rates)
+    flat = iter(net.weights)
+    per_choice = [[[next(flat) for _ in c.outcomes] for c in menu] for menu in net.menus]
+    # An action's network-wide weights are one integer multiple of its own, so w / W
+    # is the same correctly rounded float: the float of the exact probability.
+    for a in range(min(net.n_actions, 64)):
+        choices = net.choices(a)
+        wide = [w for menu, ws, c in zip(net.menus, per_choice, choices) for w in ws[menu.index(c)]]
+        rates = [rate for c in choices for _, rate in c.outcomes]
+        own = netmodel.integer_weights(rates)
+        assert [w / sum(wide) for w in wide] == [w / sum(own) for w in own]
+        assert [w / sum(own) for w in own] == [float(r / sum(rates)) for r in rates]
+
+
+def test_weights_are_computed_once_per_network(monkeypatch):
+    calls = []
+    weights = netmodel.integer_weights
+    monkeypatch.setattr(netmodel, "integer_weights", lambda rates: calls.append(1) or weights(rates))
+    net = build_ring(range(1, 9), range(2, 10))
+    assert net.weights is net.weights and len(calls) == 1
+    assert certify.spanning_rows(net) == certify.spanning_rows(net) and len(calls) == 1
+
+
 def test_family_builds_never_run_the_outside_input_check(monkeypatch):
     # check_displacement guards outside input; the family builders construct valid outcomes
     calls = []
@@ -252,7 +283,7 @@ def two_walk_reentrant(streams) -> NetworkSpec:
             d[meta.queue_index(i, j)] = -1
         if j < meta.stream_lengths[i]:
             d[meta.queue_index(i, j + 1)] = 1
-        return Choice(f"({i + 1},{j})", ((tuple(d), meta.op_rate(i, j)),))
+        return Choice(f"({i + 1},{j})", ((tuple(d), meta.streams[i][j][1]),))
 
     menus = tuple(tuple(step_choice(i, j) for i, j in meta.server_operations(server))
                   for server in (1, 2))

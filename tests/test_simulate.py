@@ -11,7 +11,7 @@ import dataclasses
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, product
-from math import comb, sqrt
+from math import comb, lcm, sqrt
 
 import numpy as np
 import pytest
@@ -798,6 +798,89 @@ def test_tables_match_the_per_action_reference(build):
 def test_tables_match_the_per_action_reference_on_custom_nets(spec):
     m, actions = spec
     _assert_tables_match_reference(build_custom(m, [(f"a{i}", outs) for i, outs in enumerate(actions)]))
+
+
+def _assert_rows_match_reference(net, ids):
+    """``_Tables(net, ids)`` equals the reference's rows ``ids``, cut to their widest outcome count."""
+    from qstab.simulate import _Tables
+
+    tables = _Tables(net, ids)
+    width = max(len(net.action(a).outcomes) for a in ids)
+    assert tables.width == width
+    views = _table_views(tables)
+    for name, want in _reference_tables(net).items():
+        want = want[ids] if name == "drain" else want[ids, :width]
+        got = views[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+_P, _Q = 2**61 - 1, 2**62 - 57  # primes, so the network-wide denominator is about 2**123
+
+
+def _huge_weight_ring():
+    return build_ring([1, F(1, _P), F(1, _Q), 3], [F(2, _Q), 1, F(1, _P), F(5, 3)])
+
+
+def _huge_weight_custom():
+    return build_custom(2, [
+        ("a", [((1, 0), 1), ((0, 1), F(4, _P)), ((1, 0), F(1, _Q))]),
+        ("b", [((0, -1), F(3, _Q)), ((-1, 1), 7), ((0, 1), F(7, _P))]),
+        ("c", [((0, 1), F(7, _P))]),
+    ])
+
+
+@pytest.mark.parametrize("build", [_huge_weight_ring, _huge_weight_custom], ids=["ring4", "custom"])
+def test_tables_are_exact_past_float_range(build):
+    net = build()
+    assert max(net.weights) > 2**63
+    # Dividing the weights as float64 would round some probability differently.
+    scale = lcm(*(r.denominator for menu in net.menus for c in menu for _, r in c.outcomes))
+    assert any(
+        float(r * scale) / float(total * scale) != float(r / total)
+        for act in list_actions(net)
+        for total in [sum(rate for _, rate in act.outcomes)]
+        for _, r in act.outcomes
+    )
+    _assert_tables_match_reference(net)
+    for a in range(net.n_actions):
+        _assert_rows_match_reference(net, [a])
+
+
+def test_tables_of_two_networks_built_alternately_match_the_reference():
+    nets = [_ring8(), _merging_net()]
+    for net in nets + nets + nets[::-1]:
+        _assert_tables_match_reference(net)
+        _assert_rows_match_reference(net, [0])
+
+
+def test_step_builds_the_outcome_table_once_per_network(monkeypatch):
+    built = []
+    build = simulate._outcome_table
+    monkeypatch.setattr(simulate, "_outcome_table", lambda net: built.append(net) or build(net))
+    net = _ring8()
+    pol = make_policy(net, "pull-priority")
+    rng = np.random.default_rng(3)
+    z = (3,) * net.n_queues
+    for _ in range(1000):
+        z = step(net, pol, z, rng)
+    assert built == [net]
+
+
+@pytest.mark.parametrize("build", [_ring8, build_two_stream_example, _merging_net, _clamp_net],
+                         ids=["ring8", "two-stream", "merging", "clamp"])
+def test_a_subset_of_rows_is_the_whole_table_cut_to_their_width(build):
+    from qstab.simulate import _Tables
+
+    net = build()
+    whole = _table_views(_Tables(net))
+    ids = np.random.default_rng(7).permutation(net.n_actions)[: max(1, net.n_actions // 3)].tolist()
+    sub = _Tables(net, ids)
+    assert sub.width == max(len(net.action(a).outcomes) for a in ids)
+    for name, got in _table_views(sub).items():
+        want = whole[name][ids] if name == "drain" else whole[name][ids, : sub.width]
+        assert got.tobytes() == want.tobytes(), name
+    _assert_rows_match_reference(net, ids)
 
 
 def test_flat_outcome_ids_on_the_clamp_net():
