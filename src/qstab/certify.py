@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -35,7 +35,6 @@ from .netmodel import (
     check_alpha,
     format_rational,
     index_sets,
-    integer_weights,
 )
 
 
@@ -49,9 +48,9 @@ class DriftMatrix:
 
     Entry k of row a is ``numerators[a][k] / scales[a]``. The scale of an
     action is its total rate written over the least common denominator of
-    the outcome rates of its choices, and each numerator is the signed sum
-    of those rates over that denominator, so every scale is positive and
-    every entry lies in [-1, 1]; both are checked.
+    every outcome rate of the network (``net.weights``), and each numerator
+    is the signed sum of its outcome rates over that denominator, so every
+    scale is positive and every entry lies in [-1, 1]; both are checked.
     """
 
     numerators: tuple[tuple[int, ...], ...]
@@ -137,24 +136,38 @@ class HarmonicCertificate:
 def drift_matrix(net: NetworkSpec) -> DriftMatrix:
     """Expected displacement of each action, rows in action-id order, built in integers.
 
-    The outcome rates of the action's choices over their least common
-    denominator are the weights, and the row's scale is their sum. Rows
-    with zero drift (balanced actions) are kept so the matrix shape stays
-    L x M. Each row reads the choices its action id names; no action is
-    built, but the ids are refused above ``MAX_ACTIONS``.
+    Row a is the sum of u_s(c_s) over the servers s, and its scale the sum
+    of their total weights w_s(c_s), c being the choices that a names
+    (:func:`_choice_drifts`). Rows with zero drift (balanced actions) are
+    kept so the matrix shape stays L x M. No action is built, but the ids
+    are refused above ``MAX_ACTIONS``.
     """
-    nonzero = net.displacements
-    numerators, scales = [], []
-    for a in range(net.listable_actions()):
-        outcomes = [o for choice in net.choices(a) for o in choice.outcomes]
-        weights = integer_weights(rate for _, rate in outcomes)
-        row = [0] * net.n_queues
-        for (d, _), w in zip(outcomes, weights):
-            for k, x in nonzero[d]:
-                row[k] += x * w
-        numerators.append(tuple(row))
-        scales.append(sum(weights))
+    n = net.listable_actions()
+    u, w = _choice_drifts(net)
+    numerators = [tuple(map(sum, zip(*rows))) for rows in product(*u)]  # mixed-radix index order
+    scales = list(map(sum, product(*w)))
+    if net.ids is not None:  # index i is action net.ids[i]
+        order = sorted(range(n), key=net.ids.__getitem__)
+        numerators, scales = [numerators[i] for i in order], [scales[i] for i in order]
     return DriftMatrix(tuple(numerators), tuple(scales))
+
+
+def _choice_drifts(net: NetworkSpec) -> tuple[list[list[list[int]]], list[list[int]]]:
+    """u[s][k], the rate-weighted displacement of choice k of server s, and
+    w[s][k], its total weight: each outcome rate is read at its offset in
+    ``net.weights``, an integer over one common denominator of them all."""
+    nonzero = net.displacements
+    weights = iter(net.weights)
+    u = [[[0] * net.n_queues for _ in menu] for menu in net.menus]
+    w = [[0] * len(menu) for menu in net.menus]
+    for s, menu in enumerate(net.menus):
+        for k, choice in enumerate(menu):
+            row = u[s][k]
+            for (d, _), weight in zip(choice.outcomes, weights):
+                w[s][k] += weight
+                for q, x in nonzero[d]:
+                    row[q] += x * weight
+    return u, w
 
 
 def spanning_rows(net: NetworkSpec) -> list[tuple[int, ...]]:
@@ -162,21 +175,14 @@ def spanning_rows(net: NetworkSpec) -> list[tuple[int, ...]]:
 
     Let u_s(k) be the rate-weighted displacement of choice k of server s,
     every outcome rate written as an integer over one common denominator
-    (``net.weights``). The drift of action c is a positive multiple of
+    (:func:`_choice_drifts`). The drift of action c is a positive multiple of
     u_c = sum_s u_s(c_s) = u_c0 + sum_s (u_s(c_s) - u_s(0)), c0 taking
     every server's first choice. So the rows u_s(k) - u_s(0), for each
     server s and choice k >= 1, then u_c0, span D's rows, and each lies in
     D's row space. Only u_c0 is dense; a ring's difference rows have two
     nonzeros. The rows are returned as :func:`_distinct_rows`.
     """
-    nonzero = net.displacements
-    weights = iter(net.weights)
-    u = [[[0] * net.n_queues for _ in menu] for menu in net.menus]
-    for menu, vectors in zip(net.menus, u):
-        for choice, row in zip(menu, vectors):
-            for (d, _), w in zip(choice.outcomes, weights):
-                for k, x in nonzero[d]:
-                    row[k] += x * w
+    u, _ = _choice_drifts(net)
     rows = [[x - y for x, y in zip(v, first)] for first, *rest in u for v in rest]
     rows.append([sum(col) for col in zip(*(first for first, *_ in u))])
     return _distinct_rows(rows)

@@ -20,8 +20,11 @@ Reproducibility contract
   numpy's PCG64 (:func:`_word_order`), keeps the first whose draws equal
   ``trial_rng``'s, and raises if neither does.
 * the start state's total (0 for the default origin) plus max(steps,
-  cap) stays below 2**63, so no queue length or total overflows the
-  engine's int64 states; :class:`SimConfig` refuses anything larger.
+  cap) stays below 2**63, so no queue length or total overflows an int64
+  state; :class:`SimConfig` refuses anything larger. A run holds its
+  states in int32 when the start total plus its horizon is at most
+  2**31 - 1, and in int64 otherwise (:func:`_state_dtype`); either type
+  holds every state exactly, so the type never changes a report.
 * one uniform variate u is consumed per step, from the trial's own stream;
   a refill draws, for each trial still running, only the uniforms the
   next ``_CHUNK`` (256) steps (or the rest of the steps or cap) can use, and
@@ -270,8 +273,14 @@ class SimConfig:
             )
 
 
+def _state_dtype(bound: int) -> type:
+    """The engine's state type when no queue or total can exceed ``bound``,
+    the start total plus the horizon: int32 if the bound fits, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def _check_headroom(z: Sequence[int], steps: int) -> None:
-    # Each step moves the total by at most 1, so no int64 queue or total overflows.
+    # Each step moves the total by at most 1, so no queue or total overflows int64.
     if sum(z) + steps >= 2**63:
         raise ConstructionError(
             f"state {tuple(z)} is too large: its total plus {steps} steps reaches 2**63"
@@ -282,12 +291,14 @@ def _check_headroom(z: Sequence[int], steps: int) -> None:
 class Policy:
     """A total state-to-action map, non-idling by construction.
 
-    ``choose_batch`` maps a (B x M) int64 array of states to the B action
-    ids, one per row; it is the only form the engine and :func:`step`
-    call, and availability of each chosen action is enforced at every
-    step. ``resolve`` is the same map on one state tuple. Build policies
-    with :func:`make_policy`: built-in kinds choose a whole batch at once,
-    and custom tables and resolvers run once per row, in row order.
+    ``choose_batch`` maps a (B x M) array of states to the B action ids,
+    one per row; it is the only form the engine and :func:`step` call,
+    and availability of each chosen action is enforced at every step. The
+    states are int32 when the run's start total plus its horizon (one
+    step for :func:`step`) is at most 2**31 - 1, and int64 otherwise.
+    ``resolve`` is the same map on one state tuple. Build policies with
+    :func:`make_policy`: built-in kinds choose a whole batch at once, and
+    custom tables and resolvers run once per row, in row order.
     """
 
     resolve: Callable[[State], int]
@@ -725,6 +736,12 @@ def _start_state(net: NetworkSpec, cfg: SimConfig) -> State:
     return check_state(x0, net.n_queues)
 
 
+def _start_array(net: NetworkSpec, cfg: SimConfig, horizon: int) -> np.ndarray:
+    """The start state in the engine's state type for a run of ``horizon`` steps."""
+    x0 = _start_state(net, cfg)
+    return np.array(x0, dtype=_state_dtype(sum(x0) + horizon))
+
+
 def step(
     net: NetworkSpec, policy: Policy, z: Sequence[int], rng: np.random.Generator
 ) -> State:
@@ -737,7 +754,7 @@ def step(
     """
     state = check_state(z, net.n_queues)
     _check_headroom(state, 1)
-    states = np.array([state], dtype=np.int64)
+    states = np.array([state], dtype=_state_dtype(sum(state) + 1))
     a = _choose(policy, states, net.n_actions)[0]
     table = _Tables(net, [a])
     f = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
@@ -764,10 +781,12 @@ def _run(
     a power-of-two stride such as 256 doubles would map every row of a
     column onto the same few cache sets. ``at`` holds each live trial's
     row start in the flattened chunk, so a step reads its uniforms with
-    one gather on the live trials alone.
+    one gather on the live trials alone. States are held in the type of
+    :func:`_start_array`, and the displacements are cast to it once.
     Returns the final states of the rows still live at the end.
     """
-    x0 = np.array(_start_state(net, cfg), dtype=np.int64)
+    x0 = _start_array(net, cfg, horizon)
+    disp = tables.disp.astype(x0.dtype)
     gen = np.random.Generator(np.random.PCG64(0))  # its state is replaced before every draw
     finals = []
     for start in range(0, cfg.trials, _BATCH):
@@ -787,7 +806,7 @@ def _run(
                 streams.fill(live.tolist(), chunk[:, :n], keep=s + n < horizon)
             acts = _choose(policy, states, net.n_actions)
             flat = tables.sample(states, acts, uniforms.take(at + col))
-            states += tables.disp.take(flat, axis=0)
+            states += disp.take(flat, axis=0)
             done = observe(s, rows, states, flat)
             if done is not None:
                 keep = ~done
@@ -800,7 +819,7 @@ def _run(
 
 def estimate_return_time(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> ReturnTimeStats:
     """First-return times to the start state, one per trial, censored at cfg.cap."""
-    x0 = np.array(_start_state(net, cfg), dtype=np.int64)
+    x0 = _start_array(net, cfg, cfg.cap)  # the type of _run's states, so hits compare like types
     returns = []  # (trials returning, at step)
 
     def observe(s, rows, states, flat):

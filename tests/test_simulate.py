@@ -1467,3 +1467,87 @@ def test_trajectory_summary_fields():
     assert set(payload) == {
         "trials", "steps", "mean_final_total", "max_final_total", "final_state_trial0",
     }
+
+
+# ---------------------------------------------------------------------------
+# the engine's state type
+
+
+def _recording_push(seen):
+    """Push-priority on push-pull, (push,push) = id 0 everywhere, noting each batch's dtype."""
+    def choose(states):
+        seen.add(states.dtype)
+        return np.zeros(len(states), dtype=np.int64)
+    return _direct_policy(choose)
+
+
+@pytest.mark.parametrize("horizon, dtype", [(10, np.int32), (11, np.int64)])
+def test_states_are_int32_while_start_total_plus_horizon_fits(horizon, dtype):
+    # The start total plus the horizon is 2**31 - 1 at horizon 10 and 2**31 at 11.
+    # Every step pushes one job, so at horizon 10 the final total is the int32 maximum.
+    net, x0 = critical_pp(), (2**31 - 11, 0)
+    seen = set()
+    summary = run_trajectories(net, _recording_push(seen), SimConfig(x0=x0, steps=horizon, trials=4))
+    assert seen == {np.dtype(dtype)}
+    assert summary.max_final_total == sum(x0) + horizon == sum(summary.final_state_trial0)
+    seen.clear()
+    stats = estimate_return_time(net, _recording_push(seen), SimConfig(x0=x0, cap=horizon, trials=4))
+    assert seen == {np.dtype(dtype)} and stats.returned == 0
+    seen.clear()
+    z = (x0[0] + horizon - 1, 0)  # a step's horizon is 1
+    assert sum(step(net, _recording_push(seen), z, trial_rng(0, 0))) == sum(z) + 1
+    assert seen == {np.dtype(dtype)}
+
+
+def _sim_cases():
+    from test_golden_sim import PUSHPULL, RING8, TWO_STREAM
+
+    alpha = {"ring8": ["--alpha", "1,-2,3/2,4,-5,6,7/3,-8"]}
+    counts = ["--seed", "0", "--trials", "40", "--steps", "300", "--cap", "300"]
+    for name, spec in {"pushpull": PUSHPULL, "ring8": RING8, "two-stream": TWO_STREAM}.items():
+        for verb in ("simulate", "return-time", "martingale", "blowup"):
+            extra = alpha.get(name, []) if verb == "martingale" else []
+            yield pytest.param(spec, [verb, *counts, *extra], id=f"{name}-{verb}")
+
+
+@pytest.mark.parametrize("spec, args", _sim_cases())
+def test_int64_states_give_the_same_report_bytes(spec, args, tmp_path, capsys, monkeypatch):
+    from qstab.cli import run
+
+    path = tmp_path / "spec.json"
+    path.write_text(render_json(spec), encoding="utf-8")
+    verb, *rest = args
+
+    def reports():
+        out = []
+        for fmt in ("json", "text"):
+            code = run([verb, str(path), *rest, "--format", fmt])
+            out.append((code, capsys.readouterr()))
+        return out
+
+    chosen, pick = [], simulate._state_dtype
+
+    def recorded(bound):
+        chosen.append(pick(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(simulate, "_state_dtype", recorded)
+    narrow = reports()
+    assert set(chosen) == {np.int32}
+    monkeypatch.setattr(simulate, "_state_dtype", lambda bound: np.int64)
+    assert reports() == narrow
+
+
+@pytest.mark.parametrize("build", [critical_pp, _ring8])
+@pytest.mark.parametrize("cutoff", [2**31 - 2, 2**31 - 1, 2**31, 2**63 - 1])
+def test_threshold_ids_do_not_depend_on_the_state_type(build, cutoff):
+    # numpy 1.24 and numpy 2 compare an int32 array with a Python int beyond
+    # int32 by different rules; either must give the int64 ids.
+    net = build()
+    policy = make_policy(net, "threshold", threshold=cutoff)
+    rng = np.random.default_rng(3)
+    states = rng.choice([0, 1, 2**31 - 3, 2**31 - 2, 2**31 - 1], size=(64, net.n_queues))
+    wide = policy.choose_batch(states.astype(np.int64))
+    assert np.array_equal(policy.choose_batch(states.astype(np.int32)), wide)
+    if cutoff >= 2**31 - 1:  # no int32 queue holds more than the cutoff: every server pushes
+        assert np.array_equal(wide, policy.choose_batch(np.zeros_like(states)))
