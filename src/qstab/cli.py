@@ -17,7 +17,7 @@ from typing import Sequence
 from . import certify as certify_mod
 from . import netmodel
 from .jsonio import render_json
-from .netmodel import ConstructionError, PolicyError, SpecFileError, format_rational
+from .netmodel import ConstructionError, PolicyError, SpecFileError, _format_ratio, format_rational
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -162,7 +162,7 @@ def _dispatch(ns) -> int:
             "M": d.n_queues,
             "L": d.n_actions,
             "rank": certify_mod.rank(d),
-            "rows": [[format_rational(x) for x in row] for row in d.rows],
+            "rows": [[_format_ratio(n, s) for n in row] for row, s in zip(d.numerators, d.scales)],
         }
         _emit(payload, ns.format)
         return EXIT_OK

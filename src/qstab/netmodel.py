@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -74,9 +74,13 @@ def format_rational(q: Fraction) -> str:
     """Render a rational as ``"num/den"``, omitting the denominator when 1."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return _format_ratio(q.numerator, q.denominator)
+
+
+def _format_ratio(n: int, d: int) -> str:
+    """``format_rational(Fraction(n, d))`` of ints n and d >= 1, straight from the ints."""
+    g = gcd(n, d)
+    return str(n // d) if g == d else f"{n // g}/{d // g}"
 
 
 def as_rate(value: RateLike) -> Fraction:

@@ -21,10 +21,10 @@ Reproducibility contract
   ``trial_rng``'s, and raises if neither does.
 * the start state's total (0 for the default origin) plus max(steps,
   cap) stays below 2**63, so no queue length or total overflows an int64
-  state; :class:`SimConfig` refuses anything larger. A run holds its
-  states in int32 when the start total plus its horizon is at most
-  2**31 - 1, and in int64 otherwise (:func:`_state_dtype`); either type
-  holds every state exactly, so the type never changes a report.
+  state; :class:`SimConfig` refuses anything larger. A run's states are int32
+  while the start total plus its horizon is at most 2**31 - 1, else int64
+  (:func:`_state_dtype`); both hold every state exactly, so no report depends
+  on the type. :func:`_start` is the one place this rule lives, for runs and :func:`step`.
 * one uniform variate u is consumed per step, from the trial's own stream;
   a refill draws, for each trial still running, only the uniforms the
   next ``_CHUNK`` (256) steps (or the rest of the steps or cap) can use, and
@@ -731,15 +731,12 @@ def _choose(policy: Policy, states: np.ndarray, n_actions: int) -> np.ndarray:
     return ids
 
 
-def _start_state(net: NetworkSpec, cfg: SimConfig) -> State:
-    x0 = cfg.x0 if cfg.x0 is not None else (0,) * net.n_queues
-    return check_state(x0, net.n_queues)
-
-
-def _start_array(net: NetworkSpec, cfg: SimConfig, horizon: int) -> np.ndarray:
-    """The start state in the engine's state type for a run of ``horizon`` steps."""
-    x0 = _start_state(net, cfg)
-    return np.array(x0, dtype=_state_dtype(sum(x0) + horizon))
+def _start(net: NetworkSpec, z: Sequence[int] | None, horizon: int) -> np.ndarray:
+    """Start state z (None: the origin) checked against ``net``, refused if
+    ``horizon`` steps could bring its total to 2**63, in the engine's state type."""
+    state = check_state((0,) * net.n_queues if z is None else z, net.n_queues)
+    _check_headroom(state, horizon)
+    return np.array(state, dtype=_state_dtype(sum(state) + horizon))
 
 
 def step(
@@ -747,14 +744,12 @@ def step(
 ) -> State:
     """One embedded-chain transition from state z.
 
-    A batch of one on the engine's code: the policy's action is checked and
-    its availability enforced, then one uniform variate picks the outcome
-    from the action's one-row :class:`_Tables`, cut like the engine's from
-    the outcome table that the last network sampled keeps.
+    A batch of one on the engine's code: the batch is z from :func:`_start` with a
+    horizon of one step, the policy's action is checked and its availability enforced,
+    then one uniform variate picks the outcome from the action's one-row
+    :class:`_Tables`, cut like the engine's from the outcome table of :func:`_outcomes`.
     """
-    state = check_state(z, net.n_queues)
-    _check_headroom(state, 1)
-    states = np.array([state], dtype=_state_dtype(sum(state) + 1))
+    states = _start(net, z, 1)[None, :]
     a = _choose(policy, states, net.n_actions)[0]
     table = _Tables(net, [a])
     f = table.sample(states, np.zeros(1, dtype=np.int64), np.array([rng.random()]))[0]
@@ -782,10 +777,10 @@ def _run(
     column onto the same few cache sets. ``at`` holds each live trial's
     row start in the flattened chunk, so a step reads its uniforms with
     one gather on the live trials alone. States are held in the type of
-    :func:`_start_array`, and the displacements are cast to it once.
+    :func:`_start`, and the displacements are cast to it once.
     Returns the final states of the rows still live at the end.
     """
-    x0 = _start_array(net, cfg, horizon)
+    x0 = _start(net, cfg.x0, horizon)
     disp = tables.disp.astype(x0.dtype)
     gen = np.random.Generator(np.random.PCG64(0))  # its state is replaced before every draw
     finals = []
@@ -819,7 +814,7 @@ def _run(
 
 def estimate_return_time(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> ReturnTimeStats:
     """First-return times to the start state, one per trial, censored at cfg.cap."""
-    x0 = _start_array(net, cfg, cfg.cap)  # the type of _run's states, so hits compare like types
+    x0 = _start(net, cfg.x0, cfg.cap)  # the type of _run's states, so hits compare like types
     returns = []  # (trials returning, at step)
 
     def observe(s, rows, states, flat):
@@ -885,7 +880,7 @@ def martingale_test(
 
 def blowup_probe(net: NetworkSpec, policy: Policy, cfg: SimConfig) -> GrowthReport:
     """Per-trial least-squares slope of total queue length against step index."""
-    initial_total = sum(_start_state(net, cfg))
+    initial_total = sum(_start(net, cfg.x0, cfg.steps).tolist())
     totals = np.full(cfg.trials, float(initial_total))
     sum_t = totals.copy()
     sum_nt = np.zeros(cfg.trials, dtype=np.float64)

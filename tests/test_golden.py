@@ -57,6 +57,7 @@ CASES = {
     "pushpull": {"family": "pushpull", "lambda": ["1", "2"], "mu": ["1", "2"]},
     **{f"ring{m}": _ring(m) for m in (*range(2, 9), 10, 12)},
     "ring8-noncritical": _ring(8, 1),
+    "ring12-unit": {"family": "ring", "lambda": ["1"] * 12, "mu": ["1"] * 12},
     "two-stream-critical": _two_stream("3/2"),
     "two-stream-noncritical": _two_stream("2"),
     "swap5": _swap(5),
@@ -75,6 +76,7 @@ DIGESTS = {
     "ring8": "ef0ace9fd2a18ee0a626c3bb19f05b500e8a4bd80ad822ebf971742e8303286c",
     "ring10": "e2a6c40b762b8ae67ee820583503dba59f723c7b20999e0db45e275bca23d83c",
     "ring12": "be5029a8519c947baf42e2f30611d765361279d7e1117ce417518801005fcb04",
+    "ring12-unit": "65dc89ed69987d30425ffb249600df28f497b9233b54b715d2020688c9250221",
     "ring8-noncritical": "fa84a21265a9c05a43e6e5889b99066bf77d5b582f5b8e7966c6ed83b8d106e1",
     "swap5": "b3c6441e9598d86b2b0c209440a942bc359b02f6472b9d930bfd30a78865f4a1",
     "two-stream-critical": "f864a263ee50c8204b83245a723f8a7a00886e9088607894cb1471ef13836f7f",
@@ -98,3 +100,21 @@ def test_exact_engine_reports_are_pinned(name, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(CASES[name]), encoding="utf-8")
     assert report_digest(str(path), capsys) == DIGESTS[name]
+
+
+# sha256 of the drift verb's stdout on unit ring-12, the digests the
+# exact-without-numpy CI job compares the installed console script with.
+DRIFT_STDOUT = {
+    "json": "a1345453fc5ee6329fdfcca53e6fa38c4e1f939b1a7b33781259e48bbc788fa2",
+    "text": "f0b1495beda518a95212f7d70feda723877a5b1a306245814904b5575b097872",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DRIFT_STDOUT))
+def test_unit_ring12_drift_stdout_is_pinned(fmt, tmp_path, capsys):
+    path = tmp_path / "ring12-unit.json"
+    path.write_text(json.dumps(CASES["ring12-unit"]), encoding="utf-8")
+    assert run(["drift", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == DRIFT_STDOUT[fmt]

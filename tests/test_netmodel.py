@@ -579,6 +579,18 @@ def test_rational_round_trip():
         parse_rational("1/0")
 
 
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 7)
+@example(-6, 4)
+@example(-12, 4)
+@example(2**70, 2**69)
+def test_integer_ratio_formats_like_its_fraction(n, s):
+    # The drift report prints numerator n of a row over its scale s straight from the ints;
+    # Fraction.__str__ is the independent reference.
+    assert netmodel._format_ratio(n, s) == format_rational(Fraction(n, s)) == str(Fraction(n, s))
+
+
 # Slips that int() would read as a number: an underscore, non-ASCII digits, a
 # signed denominator, spaces inside, and digits beyond the int conversion limit.
 GRAMMAR_SLIPS = {"underscore": "1_2", "arabic-indic": "\u0661\u0662", "signed-den": "1/-2",

@@ -1446,6 +1446,17 @@ def test_start_states_keep_int64_headroom():
     for z in [(top, 0), (2**63, 0), (2**64, 0)]:
         with pytest.raises(ConstructionError, match="too large"):
             step(net, push, z, trial_rng(0, 0))
+    # Every run checks its start again through _start, with SimConfig's message,
+    # so a config whose x0 was swapped after it was built is refused as well.
+    message = r"^state \(9223372036854775807, 0\) is too large: its total plus 1 steps reaches 2\*\*63$"
+    with pytest.raises(ConstructionError, match=message):
+        SimConfig(x0=(top, 0), steps=1, cap=1)
+    cfg = SimConfig(steps=1, cap=1, trials=2)
+    object.__setattr__(cfg, "x0", (top, 0))
+    for run in (lambda: step(net, push, (top, 0), trial_rng(0, 0)),
+                lambda: run_trajectories(net, push, cfg), lambda: estimate_return_time(net, push, cfg)):
+        with pytest.raises(ConstructionError, match=message):
+            run()
 
 
 def test_steps_and_cap_keep_int64_headroom_from_the_origin():
@@ -1493,6 +1504,13 @@ def test_states_are_int32_while_start_total_plus_horizon_fits(horizon, dtype):
     seen.clear()
     stats = estimate_return_time(net, _recording_push(seen), SimConfig(x0=x0, cap=horizon, trials=4))
     assert seen == {np.dtype(dtype)} and stats.returned == 0
+    seen.clear()
+    cfg = SimConfig(x0=x0, steps=horizon, trials=4)
+    growth = blowup_probe(net, _recording_push(seen), cfg)
+    assert seen == {np.dtype(dtype)} and growth == GrowthReport(1.0, 1.0)
+    seen.clear()
+    drift = martingale_test(net, _recording_push(seen), (1, 1), cfg)
+    assert seen == {np.dtype(dtype)} and drift.mean_delta_Z == horizon and drift.std_error == 0
     seen.clear()
     z = (x0[0] + horizon - 1, 0)  # a step's horizon is 1
     assert sum(step(net, _recording_push(seen), z, trial_rng(0, 0))) == sum(z) + 1
